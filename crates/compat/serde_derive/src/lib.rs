@@ -6,6 +6,11 @@
 //! and enums whose variants are unit, tuple or struct-like. Newtype (1-field
 //! tuple) structs and variants serialize transparently, matching upstream
 //! serde's externally-tagged representation.
+//!
+//! The generated `Serialize` writes JSON straight into the output `String`,
+//! with each `{"field":` prefix baked into a string literal. The generated
+//! `Deserialize` walks the object once, matching each key as `&str` into one
+//! `Option` slot per field.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -237,6 +242,11 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+/// A Rust string literal holding `s`.
+fn lit(s: &str) -> String {
+    format!("{s:?}")
+}
+
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => (name, serialize_struct_body(fields)),
@@ -246,32 +256,62 @@ fn gen_serialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          #[allow(clippy::all, clippy::pedantic)]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn serialize(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n\
          }}"
     )
 }
 
+/// Statements writing the JSON object `{"f":value,...}` for `fields`, where
+/// `access(f)` is an expression of type `&FieldType`; `open` and `close` are
+/// written before and after it.
+fn write_object(
+    fields: &[String],
+    access: impl Fn(&str) -> String,
+    open: &str,
+    close: &str,
+) -> String {
+    if fields.is_empty() {
+        return format!("__out.push_str({});", lit(&format!("{open}{{}}{close}")));
+    }
+    let mut out = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let prefix = if i == 0 {
+            format!("{open}{{\"{f}\":")
+        } else {
+            format!(",\"{f}\":")
+        };
+        out.push_str(&format!(
+            "__out.push_str({});\n::serde::Serialize::serialize({}, __out);\n",
+            lit(&prefix),
+            access(f)
+        ));
+    }
+    out.push_str(&format!("__out.push_str({});", lit(&format!("}}{close}"))));
+    out
+}
+
+/// Statements writing the JSON array `[a,b,...]` of `items` (expressions of
+/// type `&T`), wrapped in `open` and `close`.
+fn write_array(items: &[String], open: &str, close: &str) -> String {
+    let mut out = format!("__out.push_str({});\n", lit(&format!("{open}[")));
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str("__out.push(',');\n");
+        }
+        out.push_str(&format!("::serde::Serialize::serialize({item}, __out);\n"));
+    }
+    out.push_str(&format!("__out.push_str({});", lit(&format!("]{close}"))));
+    out
+}
+
 fn serialize_struct_body(fields: &Fields) -> String {
     match fields {
-        Fields::Unit => "::serde::Value::Null".to_string(),
-        Fields::Named(names) => {
-            let entries: Vec<String> = names
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
-        }
-        Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Fields::Unit => "__out.push_str(\"null\");".to_string(),
+        Fields::Named(names) => write_object(names, |f| format!("&self.{f}"), "", ""),
+        Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
         Fields::Tuple(arity) => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
+            let items: Vec<String> = (0..*arity).map(|i| format!("&self.{i}")).collect();
+            write_array(&items, "", "")
         }
     }
 }
@@ -281,50 +321,36 @@ fn serialize_enum_body(name: &str, variants: &[Variant]) -> String {
         .iter()
         .map(|v| {
             let tag = &v.name;
+            let open = format!("{{\"{tag}\":");
             match &v.fields {
                 Fields::Unit => format!(
-                    "{name}::{tag} => \
-                     ::serde::Value::Str(::std::string::String::from({tag:?}))"
+                    "{name}::{tag} => __out.push_str({}),",
+                    lit(&format!("\"{tag}\""))
+                ),
+                Fields::Tuple(1) => format!(
+                    "{name}::{tag}(__f0) => {{\n\
+                     __out.push_str({});\n\
+                     ::serde::Serialize::serialize(__f0, __out);\n\
+                     __out.push('}}');\n}}",
+                    lit(&open)
                 ),
                 Fields::Tuple(arity) => {
                     let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
-                    let payload = if *arity == 1 {
-                        "::serde::Serialize::to_value(__f0)".to_string()
-                    } else {
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
-                    };
                     format!(
-                        "{name}::{tag}({}) => ::serde::Value::Map(::std::vec![\
-                         (::std::string::String::from({tag:?}), {payload})])",
-                        binds.join(", ")
+                        "{name}::{tag}({}) => {{\n{}\n}}",
+                        binds.join(", "),
+                        write_array(&binds, &open, "}")
                     )
                 }
-                Fields::Named(field_names) => {
-                    let entries: Vec<String> = field_names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(::std::string::String::from({f:?}), \
-                                 ::serde::Serialize::to_value({f}))"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "{name}::{tag} {{ {} }} => ::serde::Value::Map(::std::vec![\
-                         (::std::string::String::from({tag:?}), \
-                         ::serde::Value::Map(::std::vec![{}]))])",
-                        field_names.join(", "),
-                        entries.join(", ")
-                    )
-                }
+                Fields::Named(field_names) => format!(
+                    "{name}::{tag} {{ {} }} => {{\n{}\n}}",
+                    field_names.join(", "),
+                    write_object(field_names, str::to_string, &open, "}")
+                ),
             }
         })
         .collect();
-    format!("match self {{\n{}\n}}", arms.join(",\n"))
+    format!("match self {{\n{}\n}}", arms.join("\n"))
 }
 
 fn gen_deserialize(item: &Item) -> String {
@@ -336,114 +362,110 @@ fn gen_deserialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          #[allow(clippy::all, clippy::pedantic)]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__value: &::serde::Value) \
+             fn deserialize(__de: &mut ::serde::Deserializer<'_>) \
              -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
          }}"
     )
 }
 
-fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => format!("::std::result::Result::Ok({name})"),
-        Fields::Named(names) => {
-            let inits: Vec<String> = names
-                .iter()
-                .map(|f| format!("{f}: ::serde::from_field(__entries, {f:?}, {name:?})?"))
-                .collect();
-            format!(
-                "let __entries = __value.as_map().ok_or_else(|| \
-                 ::serde::Error::custom(::std::format!(\
-                 \"expected map for struct `{name}`, found {{}}\", __value.kind())))?;\n\
-                 ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Fields::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))")
-        }
-        Fields::Tuple(arity) => {
-            let inits: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::from_element(__items, {i}, {name:?})?"))
-                .collect();
-            format!(
-                "let __items = __value.as_seq().ok_or_else(|| \
-                 ::serde::Error::custom(::std::format!(\
-                 \"expected sequence for `{name}`, found {{}}\", __value.kind())))?;\n\
-                 ::std::result::Result::Ok({name}({}))",
-                inits.join(", ")
-            )
-        }
-    }
-}
-
-fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
-    let unit_arms: Vec<String> = variants
+/// A block expression reading a JSON object into `path { fields }`: keys
+/// are matched as `&str` into one `Option` slot per field, unknown keys and
+/// repeats of a filled key are skipped, and a missing field is an error.
+fn read_object(path: &str, fields: &[String], context: &str) -> String {
+    let context = lit(context);
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
         .iter()
-        .filter(|v| matches!(v.fields, Fields::Unit))
-        .map(|v| {
-            let tag = &v.name;
-            format!("{tag:?} => ::std::result::Result::Ok({name}::{tag}),")
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{key} if __f{i}.is_none() => __f{i} = \
+                 ::std::option::Option::Some(::serde::field(__de, {key}, {context})?),\n",
+                key = lit(f)
+            )
         })
         .collect();
-    let data_arms: Vec<String> = variants
+    let inits: Vec<String> = fields
         .iter()
-        .filter(|v| !matches!(v.fields, Fields::Unit))
-        .map(|v| {
-            let tag = &v.name;
-            let context = format!("{name}::{tag}");
-            let build = match &v.fields {
-                Fields::Unit => unreachable!("filtered above"),
-                Fields::Tuple(1) => format!(
-                    "::std::result::Result::Ok({name}::{tag}(\
-                     ::serde::Deserialize::from_value(__payload)?))"
-                ),
-                Fields::Tuple(arity) => {
-                    let inits: Vec<String> = (0..*arity)
-                        .map(|i| format!("::serde::from_element(__items, {i}, {context:?})?"))
-                        .collect();
-                    format!(
-                        "{{ let __items = __payload.as_seq().ok_or_else(|| \
-                         ::serde::Error::custom(\"expected sequence for `{context}`\"))?;\n\
-                         ::std::result::Result::Ok({name}::{tag}({})) }}",
-                        inits.join(", ")
-                    )
-                }
-                Fields::Named(field_names) => {
-                    let inits: Vec<String> = field_names
-                        .iter()
-                        .map(|f| format!("{f}: ::serde::from_field(__fields, {f:?}, {context:?})?"))
-                        .collect();
-                    format!(
-                        "{{ let __fields = __payload.as_map().ok_or_else(|| \
-                         ::serde::Error::custom(\"expected map for `{context}`\"))?;\n\
-                         ::std::result::Result::Ok({name}::{tag} {{ {} }}) }}",
-                        inits.join(", ")
-                    )
-                }
-            };
-            format!("{tag:?} => {build},")
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{f}: __f{i}.ok_or_else(|| ::serde::missing_field(__de, {}, {context}))?",
+                lit(f)
+            )
         })
         .collect();
     format!(
-        "match __value {{\n\
-             ::serde::Value::Str(__tag) => match __tag.as_str() {{\n\
-                 {unit}\n\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"unknown unit variant `{{__other}}` of enum `{name}`\"))),\n\
-             }},\n\
-             ::serde::Value::Map(__entries) if __entries.len() == 1 => {{\n\
-                 let (__tag, __payload) = &__entries[0];\n\
-                 let _ = __payload;\n\
-                 match __tag.as_str() {{\n\
-                     {data}\n\
-                     __other => ::std::result::Result::Err(::serde::Error::custom(\
-                     ::std::format!(\"unknown variant `{{__other}}` of enum `{name}`\"))),\n\
-                 }}\n\
-             }},\n\
-             __other => ::std::result::Result::Err(::serde::Error::custom(\
-             ::std::format!(\"expected enum `{name}`, found {{}}\", __other.kind()))),\n\
-         }}",
-        unit = unit_arms.join("\n"),
-        data = data_arms.join("\n"),
+        "{{\n{slots}\
+         ::serde::Deserializer::begin_map(__de)?;\n\
+         while let ::std::option::Option::Some(__key) = \
+         ::serde::Deserializer::next_key(__de)? {{\n\
+             match &*__key {{\n{arms}\
+                 _ => ::serde::Deserializer::skip_value(__de)?,\n\
+             }}\n\
+         }}\n\
+         {path} {{ {} }}\n}}",
+        inits.join(", ")
+    )
+}
+
+/// A block expression reading a JSON array of `arity` elements into
+/// `path(...)`; elements past `arity` are skipped.
+fn read_array(path: &str, arity: usize, context: &str) -> String {
+    let inits: Vec<String> = (0..arity)
+        .map(|i| format!("::serde::element(__de, {i}, {})?", lit(context)))
+        .collect();
+    format!(
+        "{{\n::serde::Deserializer::begin_seq(__de)?;\n\
+         let __value = {path}({});\n\
+         ::serde::Deserializer::end_seq(__de)?;\n\
+         __value\n}}",
+        inits.join(", ")
+    )
+}
+
+fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
+    let value = match fields {
+        Fields::Unit => format!("{{ ::serde::Deserializer::skip_value(__de)?; {name} }}"),
+        Fields::Named(names) => read_object(name, names, name),
+        Fields::Tuple(1) => format!("{name}(::serde::Deserialize::deserialize(__de)?)"),
+        Fields::Tuple(arity) => read_array(name, *arity, name),
+    };
+    format!("::std::result::Result::Ok({value})")
+}
+
+fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
+    let arms: String = variants
+        .iter()
+        .map(|v| {
+            let tag = &v.name;
+            let path = format!("{name}::{tag}");
+            let (payload, value) = match &v.fields {
+                Fields::Unit => (false, path),
+                Fields::Tuple(1) => (
+                    true,
+                    format!("{path}(::serde::Deserialize::deserialize(__de)?)"),
+                ),
+                Fields::Tuple(arity) => (true, read_array(&path, *arity, &path)),
+                Fields::Named(field_names) => (true, read_object(&path, field_names, &path)),
+            };
+            format!("({}, {payload}) => {value},\n", lit(tag))
+        })
+        .collect();
+    format!(
+        "let (__tag, __payload) = ::serde::Deserializer::variant(__de, {context})?;\n\
+         let __value = match (&*__tag, __payload) {{\n{arms}\
+             (__other, false) => return ::std::result::Result::Err(__de.error(\
+             ::std::format!(\"unknown unit variant `{{__other}}` of enum `{name}`\"))),\n\
+             (__other, true) => return ::std::result::Result::Err(__de.error(\
+             ::std::format!(\"unknown variant `{{__other}}` of enum `{name}`\"))),\n\
+         }};\n\
+         if __payload {{\n\
+             ::serde::Deserializer::end_variant(__de, {context})?;\n\
+         }}\n\
+         ::std::result::Result::Ok(__value)",
+        context = lit(name),
     )
 }

@@ -636,9 +636,10 @@ impl std::error::Error for SnapshotError {}
 /// and on restore EXP3-family [`PolicyState`]s are routed back into lanes
 /// (or boxed, per the recorded flag) — but a version-6 text lacks the
 /// field. Texts from versions 2–6 therefore fail to parse field-for-field,
-/// so [`from_json`](FleetEngine::from_json) probes the version first and
-/// reports [`SnapshotError::UnsupportedVersion`] instead of a confusing
-/// missing-field error (with a per-version hint, see [`version_hint`]).
+/// so when a parse fails [`from_json`](FleetEngine::from_json) probes the
+/// version and reports [`SnapshotError::UnsupportedVersion`] instead of a
+/// confusing missing-field error (with a per-version hint, see
+/// [`version_hint`]).
 ///
 /// Version 8: snapshots carry the event-driven engine's **wake queue**
 /// ([`FleetSnapshot::wake_queue`]) — the pending `(wake_time, session)`
@@ -2307,22 +2308,26 @@ impl FleetEngine {
     /// Returns [`SnapshotError::Malformed`] on parse failures and
     /// [`SnapshotError::UnsupportedVersion`] on version mismatches.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
-        // Probe the version first: snapshots from other engine releases may
-        // have a different field set (version 2 lacks `environment`), and
-        // the accurate diagnostic for those is UnsupportedVersion, not a
-        // missing-field parse error.
-        #[derive(Deserialize)]
-        struct VersionProbe {
-            version: u32,
+        match serde_json::from_str::<FleetSnapshot>(text) {
+            Ok(snapshot) => Self::from_snapshot(snapshot),
+            Err(error) => {
+                // Snapshots from other engine releases may have a different
+                // field set (version 2 lacks `environment`), and the accurate
+                // diagnostic for those is UnsupportedVersion, not a
+                // missing-field parse error. Only a failed parse pays for
+                // this second look at the text.
+                #[derive(Deserialize)]
+                struct VersionProbe {
+                    version: u32,
+                }
+                match serde_json::from_str::<VersionProbe>(text) {
+                    Ok(probe) if probe.version != SNAPSHOT_VERSION => {
+                        Err(SnapshotError::UnsupportedVersion(probe.version))
+                    }
+                    _ => Err(SnapshotError::Malformed(error.to_string())),
+                }
+            }
         }
-        let probe: VersionProbe =
-            serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-        if probe.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(probe.version));
-        }
-        let snapshot: FleetSnapshot =
-            serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-        Self::from_snapshot(snapshot)
     }
 }
 
@@ -2518,6 +2523,29 @@ mod tests {
                 Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
                 other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
             }
+        }
+        // A real version-8 text: it lacks the alias-sampler state, so only
+        // the version probe after the failed parse can name its version; the
+        // same text labelled version 9 is plainly malformed.
+        let current = fleet.to_json().unwrap();
+        assert!(current.contains("\"alias_prob\":[],"));
+        let lacking_alias = current.replace("\"alias_prob\":[],", "");
+        let v8 = lacking_alias.replacen("\"version\":9", "\"version\":8", 1);
+        match FleetEngine::from_json(&v8) {
+            Err(SnapshotError::UnsupportedVersion(8)) => {}
+            other => panic!("expected UnsupportedVersion(8), got {other:?}"),
+        }
+        match FleetEngine::from_json(&lacking_alias) {
+            Err(SnapshotError::Malformed(message)) => {
+                assert!(message.contains("alias_prob"), "{message}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // A text that parses field-for-field is still checked for its version.
+        let relabelled = current.replacen("\"version\":9", "\"version\":8", 1);
+        match FleetEngine::from_json(&relabelled) {
+            Err(SnapshotError::UnsupportedVersion(8)) => {}
+            other => panic!("expected UnsupportedVersion(8), got {other:?}"),
         }
         // Every probed version carries an actionable hint naming the release
         // that can still read the checkpoint; unknown versions stay generic.
