@@ -22,16 +22,8 @@ fn rates() -> Vec<(NetworkId, f64)> {
 }
 
 fn build_fleet(sessions: usize, threads: usize) -> FleetEngine {
-    build_fleet_lanes(sessions, threads, true)
-}
-
-fn build_fleet_lanes(sessions: usize, threads: usize, lanes: bool) -> FleetEngine {
     let mut factory = PolicyFactory::new(rates()).expect("valid rates");
-    let mut fleet = FleetEngine::new(
-        FleetConfig::with_root_seed(1)
-            .with_threads(threads)
-            .with_fleet_lanes(lanes),
-    );
+    let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(1).with_threads(threads));
     fleet
         .add_fleet(&mut factory, PolicyKind::SmartExp3, sessions)
         .expect("valid fleet");
@@ -134,32 +126,10 @@ fn bench_two_phase(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lane A/B: fused stepping on a 100k-session Smart EXP3 fleet with the
-/// monomorphized fleet lanes on (contiguous storage, static dispatch) vs off
-/// (the historical `Box<dyn Policy>` layout). The two modes are bit-identical
-/// in results, so the delta is pure storage/dispatch wall-clock.
-fn bench_fleet_lanes(c: &mut Criterion) {
-    let sessions = 100_000usize;
-    let threads = std::thread::available_parallelism().map_or(4, usize::from);
-    let mut group = c.benchmark_group("engine_lanes_100k");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    group.throughput(Throughput::Elements(sessions as u64));
-    for (mode, lanes) in [("lanes", true), ("boxed", false)] {
-        group.bench_with_input(BenchmarkId::new("step", mode), &lanes, |b, &lanes| {
-            let mut fleet = build_fleet_lanes(sessions, threads, lanes);
-            b.iter(|| fleet.step_with(feedback));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_session_scaling,
     bench_thread_scaling,
-    bench_two_phase,
-    bench_fleet_lanes
+    bench_two_phase
 );
 criterion_main!(benches);

@@ -108,35 +108,10 @@ fn bench_feedback_sharding(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fleet lanes on vs off through the environment-driven path: how much of
-/// the lane win survives once world bookkeeping (congestion shares, events,
-/// visibility) sits between the choose and observe phases.
-fn bench_fleet_lanes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scenario_lanes");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let sessions = 20_000usize;
-    group.throughput(Throughput::Elements(sessions as u64));
-    for (mode, lanes) in [("lanes", true), ("boxed", false)] {
-        group.bench_with_input(
-            BenchmarkId::new("equal_share", mode),
-            &lanes,
-            |b, &lanes| {
-                let config = FleetConfig::with_root_seed(1).with_fleet_lanes(lanes);
-                let mut scenario = build_config("equal_share", sessions, config);
-                b.iter(|| scenario.run(1));
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_scenario_sessions,
     bench_scenario_worlds,
-    bench_feedback_sharding,
-    bench_fleet_lanes
+    bench_feedback_sharding
 );
 criterion_main!(benches);

@@ -12,14 +12,6 @@
 //! `feedback` mode explicitly (older records lack those fields but keep
 //! parsing — readers treat them as additive).
 //!
-//! The run also emits **interleaved lane-vs-boxed A/B pairs** (closure,
-//! equal-share and dense-urban workloads at 1/2/8 threads): both engines
-//! take bit-identical decisions from the same seeds, measurements alternate
-//! lane/boxed so host drift hits both modes equally, and each record carries
-//! the median of [`AB_RUNS`] runs plus the min/max band. Caveat: when
-//! `threads` exceeds the record's `host_cores`, the datapoint measures an
-//! oversubscribed worker pool, not parallel scaling.
-//!
 //! A **duty-cycle pair** records the event-driven engine path: the same
 //! world stepped slot-synchronously and through the wake queue
 //! (`run_until`), the latter with wake-to-decision latency percentiles in
@@ -40,9 +32,8 @@
 //! `--only SUBSTR` runs only the datapoint groups whose name contains
 //! `SUBSTR` (groups: `closure`, `equal_share`, `equal_share_telemetry`,
 //! `equal_share_sequential`, `cooperative`, `dense_urban`, `duty_cycle`,
-//! `dense_duty_cycle`, `ab_closure`, `ab_equal_share`, `ab_dense_urban`) —
-//! e.g. `--only ab` runs the A/B groups, `--only equal_share` everything on
-//! that world.
+//! `dense_duty_cycle`) — e.g. `--only equal_share` runs everything on that
+//! world.
 
 use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind, SamplerStrategy};
 use smartexp3_engine::{FleetConfig, FleetEngine, StepContext};
@@ -72,10 +63,6 @@ fn feedback(ctx: &mut StepContext<'_>) -> Observation {
 }
 
 fn build_fleet(sessions: usize, config: &FleetConfig) -> FleetEngine {
-    build_fleet_kind(sessions, config, PolicyKind::SmartExp3)
-}
-
-fn build_fleet_kind(sessions: usize, config: &FleetConfig, kind: PolicyKind) -> FleetEngine {
     let rates = vec![
         (NetworkId(0), 4.0),
         (NetworkId(1), 7.0),
@@ -84,7 +71,7 @@ fn build_fleet_kind(sessions: usize, config: &FleetConfig, kind: PolicyKind) -> 
     let mut factory = PolicyFactory::new(rates).expect("valid rates");
     let mut fleet = FleetEngine::new(config.clone());
     fleet
-        .add_fleet(&mut factory, kind, sessions)
+        .add_fleet(&mut factory, PolicyKind::SmartExp3, sessions)
         .expect("valid fleet");
     fleet
 }
@@ -99,26 +86,14 @@ fn measure(fleet: &mut FleetEngine, slots: usize) -> f64 {
     (sessions * slots) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Drives a scenario through its all-fresh opening slots so measurements
-/// start from steady state.
-fn warm_scenario(scenario: &mut Scenario, slots: usize) {
+/// Warm-up through the all-fresh opening slots, then measurement of `slots`
+/// environment-driven slots from steady state; returns decisions per second.
+fn measure_scenario(scenario: &mut Scenario, slots: usize) -> f64 {
     scenario.run(slots.div_ceil(4).max(1));
-}
-
-/// Times `slots` environment-driven slots on an already warm scenario;
-/// returns decisions per second.
-fn time_scenario(scenario: &mut Scenario, slots: usize) -> f64 {
     let sessions = scenario.sessions();
     let start = Instant::now();
     scenario.run(slots);
     (sessions * slots) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Warm-up plus measurement of `slots` environment-driven slots; returns
-/// decisions per second.
-fn measure_scenario(scenario: &mut Scenario, slots: usize) -> f64 {
-    warm_scenario(scenario, slots);
-    time_scenario(scenario, slots)
 }
 
 /// Same measurement with streaming telemetry enabled: per-partition metric
@@ -135,8 +110,8 @@ fn measure_scenario_streaming(scenario: &mut Scenario, slots: usize) -> f64 {
     (sessions * slots) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Interleaved run-pairs per lane-vs-boxed A/B datapoint; medians over this
-/// many runs are what the records report.
+/// Interleaved rounds per A/B datapoint; medians over this many runs are what
+/// the records report.
 const AB_RUNS: usize = 6;
 
 /// Median and spread of one A/B side's per-run rates.
@@ -159,76 +134,6 @@ fn band(mut rates: Vec<f64>) -> Band {
         min: rates[0],
         max: *rates.last().expect("at least one run"),
     }
-}
-
-/// Generic interleaved A/B: alternates one lane measurement and one boxed
-/// measurement per round so clock drift and thermal state hit both sides
-/// equally, then summarises each side as median + band.
-fn ab_interleaved(
-    mut measure_lanes: impl FnMut() -> f64,
-    mut measure_boxed: impl FnMut() -> f64,
-) -> (Band, Band) {
-    let mut lane_rates = Vec::with_capacity(AB_RUNS);
-    let mut boxed_rates = Vec::with_capacity(AB_RUNS);
-    for _ in 0..AB_RUNS {
-        lane_rates.push(measure_lanes());
-        boxed_rates.push(measure_boxed());
-    }
-    (band(lane_rates), band(boxed_rates))
-}
-
-/// Lane-vs-boxed A/B on the fused-closure workload (the
-/// `engine_throughput/step` shape): same seeds, so both engines take
-/// bit-identical decisions and the delta is pure storage/dispatch cost.
-fn ab_closure(sessions: usize, slots: usize, threads: usize, kind: PolicyKind) -> (Band, Band) {
-    let config = FleetConfig::with_root_seed(1).with_threads(threads);
-    let mut lanes = build_fleet_kind(sessions, &config, kind);
-    let mut boxed = build_fleet_kind(sessions, &config.clone().with_fleet_lanes(false), kind);
-    let warm = slots.div_ceil(4).max(1);
-    let _ = measure(&mut lanes, warm);
-    let _ = measure(&mut boxed, warm);
-    ab_interleaved(|| measure(&mut lanes, slots), || measure(&mut boxed, slots))
-}
-
-/// Lane-vs-boxed A/B through the equal-share congestion world.
-fn ab_equal_share(sessions: usize, slots: usize, threads: usize) -> (Band, Band) {
-    let build = |lanes: bool| {
-        let config = FleetConfig::with_root_seed(1)
-            .with_threads(threads)
-            .with_fleet_lanes(lanes);
-        equal_share(sessions, PolicyKind::SmartExp3, config).expect("valid scenario")
-    };
-    let mut lanes = build(true);
-    let mut boxed = build(false);
-    warm_scenario(&mut lanes, slots);
-    warm_scenario(&mut boxed, slots);
-    ab_interleaved(
-        || time_scenario(&mut lanes, slots),
-        || time_scenario(&mut boxed, slots),
-    )
-}
-
-/// Lane-vs-boxed A/B through the dense-urban large-K world (EXP3 lane, the
-/// default sampler): covers the lane storage under K = 512 weight tables.
-fn ab_dense(slots: usize, threads: usize) -> (Band, Band) {
-    let build = |lanes: bool| {
-        let config = FleetConfig::with_root_seed(2026)
-            .with_threads(threads)
-            .with_fleet_lanes(lanes);
-        let dense = DenseUrbanConfig {
-            networks_per_area: DENSE_NETWORKS,
-            ..DenseUrbanConfig::default()
-        };
-        dense_urban(DENSE_SESSIONS, PolicyKind::Exp3, config, dense).expect("valid scenario")
-    };
-    let mut lanes = build(true);
-    let mut boxed = build(false);
-    warm_scenario(&mut lanes, slots);
-    warm_scenario(&mut boxed, slots);
-    ab_interleaved(
-        || time_scenario(&mut lanes, slots),
-        || time_scenario(&mut boxed, slots),
-    )
 }
 
 fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
@@ -703,108 +608,6 @@ fn main() {
             alias / linear.max(f64::EPSILON),
             alias / tree.max(f64::EPSILON)
         );
-    }
-
-    // Interleaved lane-vs-boxed A/B pairs at a fixed thread ladder. Records
-    // report the median of AB_RUNS interleaved runs plus the min/max band;
-    // `host_cores` is the honesty marker — thread counts above it measure an
-    // oversubscribed pool, not parallel scaling.
-    let ab_extra = |lanes: &str, b: &Band| {
-        format!(
-            ",\"lanes\":\"{lanes}\",\"ab_runs\":{AB_RUNS},\"band_min\":{:.0},\
-             \"band_max\":{:.0},\"host_cores\":{auto_threads}",
-            b.min, b.max
-        )
-    };
-    let mut closure_speedup_1t = None;
-    for ab_threads in [1usize, 2, 8] {
-        // Two closure datapoints per thread count: Smart EXP3 (the block
-        // structure amortises sampling, so per-decision policy work is small
-        // and the lane delta bounds the engine's dispatch overhead) and
-        // slot-level EXP3 (samples and reweights every slot — the
-        // inlining-sensitive workload the lanes target).
-        if wanted("ab_closure") {
-            for (policy, ab_kind) in [
-                ("SmartExp3", PolicyKind::SmartExp3),
-                ("Exp3", PolicyKind::Exp3),
-            ] {
-                let (lane, boxed) = ab_closure(sessions, slots, ab_threads, ab_kind);
-                eprintln!(
-                    "A/B closure/{policy} {ab_threads}t: lanes {:.2}M vs boxed {:.2}M \
-                     decisions/sec ({:.2}x)",
-                    lane.median / 1e6,
-                    boxed.median / 1e6,
-                    lane.median / boxed.median
-                );
-                if ab_threads == 1 && ab_kind == PolicyKind::Exp3 {
-                    closure_speedup_1t = Some(lane.median / boxed.median);
-                }
-                for (mode, b) in [("on", &lane), ("off", &boxed)] {
-                    records.push(Record {
-                        bench: "engine_throughput/step",
-                        world: "closure",
-                        feedback: "fused",
-                        policy,
-                        sessions,
-                        slots,
-                        threads: ab_threads,
-                        decisions_per_sec: b.median,
-                        extra: ab_extra(mode, b),
-                    });
-                }
-            }
-        }
-
-        if wanted("ab_equal_share") {
-            let (lane, boxed) = ab_equal_share(sessions, slots, ab_threads);
-            eprintln!(
-                "A/B equal_share {ab_threads}t: lanes {:.2}M vs boxed {:.2}M decisions/sec \
-                 ({:.2}x)",
-                lane.median / 1e6,
-                boxed.median / 1e6,
-                lane.median / boxed.median
-            );
-            for (mode, b) in [("on", &lane), ("off", &boxed)] {
-                records.push(Record {
-                    bench: "scenario_throughput/equal_share",
-                    world: "equal_share",
-                    feedback: "partitioned",
-                    policy: "SmartExp3",
-                    sessions,
-                    slots,
-                    threads: ab_threads,
-                    decisions_per_sec: b.median,
-                    extra: ab_extra(mode, b),
-                });
-            }
-        }
-
-        if wanted("ab_dense_urban") {
-            let (lane, boxed) = ab_dense(dense_slots, ab_threads);
-            eprintln!(
-                "A/B dense_urban {ab_threads}t: lanes {:.2}M vs boxed {:.2}M decisions/sec \
-                 ({:.2}x)",
-                lane.median / 1e6,
-                boxed.median / 1e6,
-                lane.median / boxed.median
-            );
-            for (mode, b) in [("on", &lane), ("off", &boxed)] {
-                records.push(Record {
-                    bench: "scenario_throughput/dense_urban",
-                    world: "dense_urban",
-                    feedback: "partitioned",
-                    policy: "Exp3",
-                    sessions: DENSE_SESSIONS,
-                    slots: dense_slots,
-                    threads: ab_threads,
-                    decisions_per_sec: b.median,
-                    extra: format!(",\"networks\":{DENSE_NETWORKS}{}", ab_extra(mode, b)),
-                });
-            }
-        }
-    }
-    if let Some(speedup) = closure_speedup_1t {
-        eprintln!("fleet lanes: {speedup:.2}x boxed on engine_throughput/step (Exp3, 1 thread)");
     }
 
     if records.is_empty() {

@@ -8,9 +8,11 @@
 
 use crate::{
     CentralizedCoordinator, ConfigError, Exp3, Exp3Config, FixedRandom, FullInformation,
-    FullInformationConfig, Greedy, NetworkId, Policy, SamplerStrategy, SmartExp3, SmartExp3Config,
+    FullInformationConfig, Greedy, NetworkId, Observation, Policy, PolicyState, PolicyStats,
+    SamplerStrategy, SelectionKind, SharedFeedback, SlotIndex, SmartExp3, SmartExp3Config,
     SmartExp3Features,
 };
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -103,40 +105,106 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// A homogeneous batch of policies built by
-/// [`PolicyFactory::build_fleet_concrete`]: the EXP3 family comes back as
-/// concrete values so the fleet engine can store them inline in its
-/// monomorphized **fleet lanes** (contiguous per-kind storage, static
-/// dispatch); every other kind stays behind the trait object and runs on the
-/// boxed fallback lane.
-pub enum FleetPolicies {
-    /// Concrete slot-level EXP3 instances ([`PolicyKind::Exp3`]).
-    Exp3(Vec<Exp3>),
-    /// Concrete Smart EXP3 instances — the full algorithm or any feature
-    /// ablation (`BlockExp3`, `HybridBlockExp3`, `SmartExp3WithoutReset`,
-    /// `SmartExp3` are all one concrete type with different feature flags).
-    SmartExp3(Vec<SmartExp3>),
-    /// Policies that only exist behind `Box<dyn Policy>` (the baselines, the
-    /// oracles, and — via [`PolicyFactory::build_fleet`] — any future kind
-    /// without a dedicated lane).
-    Boxed(Vec<Box<dyn Policy>>),
+/// One fleet session's policy, as the fleet engine stores it.
+///
+/// The EXP3 family is held inline as concrete values, so a fleet's session
+/// vector is one contiguous allocation and each per-decision call is a
+/// `match` plus a static call the compiler can inline. Every other kind (the
+/// baselines, the oracles, third-party policies) stays behind
+/// `Box<dyn Policy>`. The variant is storage only: a policy behaves the same
+/// in any variant, so an inline fleet and an all-boxed fleet built from the
+/// same constructors take bit-identical decisions.
+///
+/// [`PolicyFactory::build_fleet_concrete`] picks the variant from the
+/// policy's type, and so does `From<PolicyState>` on restore.
+// Inline storage is the point: boxing the large variant would bring back the
+// per-decision pointer chase this enum exists to avoid.
+#[allow(clippy::large_enum_variant)]
+pub enum FleetPolicy {
+    /// Slot-level EXP3 ([`PolicyKind::Exp3`]), stored inline.
+    Exp3(Exp3),
+    /// Smart EXP3 — the full algorithm or any feature ablation
+    /// (`BlockExp3`, `HybridBlockExp3`, `SmartExp3WithoutReset`, `SmartExp3`
+    /// are all one concrete type with different feature flags), stored
+    /// inline.
+    SmartExp3(SmartExp3),
+    /// Any other policy, behind the trait object.
+    Boxed(Box<dyn Policy>),
 }
 
-impl FleetPolicies {
-    /// Number of policies in the batch, whatever the lane.
-    #[must_use]
-    pub fn len(&self) -> usize {
+impl FleetPolicy {
+    /// The policy as a trait object (boxing inline values).
+    fn into_boxed(self) -> Box<dyn Policy> {
         match self {
-            FleetPolicies::Exp3(v) => v.len(),
-            FleetPolicies::SmartExp3(v) => v.len(),
-            FleetPolicies::Boxed(v) => v.len(),
+            FleetPolicy::Exp3(policy) => Box::new(policy),
+            FleetPolicy::SmartExp3(policy) => Box::new(policy),
+            FleetPolicy::Boxed(policy) => policy,
         }
     }
+}
 
-    /// `true` when the batch is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+/// Runs `$call` with `$policy` bound to the variant's policy: a static call
+/// for the inline variants, a vtable call for [`FleetPolicy::Boxed`].
+macro_rules! dispatch {
+    ($fleet_policy:expr, |$policy:ident| $call:expr) => {
+        match $fleet_policy {
+            FleetPolicy::Exp3($policy) => $call,
+            FleetPolicy::SmartExp3($policy) => $call,
+            FleetPolicy::Boxed($policy) => $call,
+        }
+    };
+}
+
+impl Policy for FleetPolicy {
+    #[inline]
+    fn name(&self) -> &'static str {
+        dispatch!(self, |policy| policy.name())
+    }
+
+    #[inline]
+    fn choose(&mut self, slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
+        dispatch!(self, |policy| policy.choose(slot, rng))
+    }
+
+    #[inline]
+    fn observe(&mut self, observation: &Observation, rng: &mut dyn RngCore) {
+        dispatch!(self, |policy| policy.observe(observation, rng));
+    }
+
+    #[inline]
+    fn observe_shared(&mut self, shared: &SharedFeedback, rng: &mut dyn RngCore) {
+        dispatch!(self, |policy| policy.observe_shared(shared, rng));
+    }
+
+    #[inline]
+    fn on_networks_changed(&mut self, available: &[NetworkId], rng: &mut dyn RngCore) {
+        dispatch!(self, |policy| policy.on_networks_changed(available, rng));
+    }
+
+    fn probabilities(&self) -> Vec<(NetworkId, f64)> {
+        dispatch!(self, |policy| policy.probabilities())
+    }
+
+    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
+        dispatch!(self, |policy| policy.probabilities_into(out));
+    }
+
+    #[inline]
+    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
+        dispatch!(self, |policy| policy.top_probabilities_into(k, out));
+    }
+
+    fn last_selection_kind(&self) -> SelectionKind {
+        dispatch!(self, |policy| policy.last_selection_kind())
+    }
+
+    #[inline]
+    fn stats(&self) -> PolicyStats {
+        dispatch!(self, |policy| policy.stats())
+    }
+
+    fn state(&self) -> Option<PolicyState> {
+        dispatch!(self, |policy| policy.state())
     }
 }
 
@@ -223,11 +291,12 @@ impl PolicyFactory {
         (0..count).map(|_| self.build(kind)).collect()
     }
 
-    /// Builds `count` independent policies of the requested kind as a
-    /// *concrete* homogeneous batch — the construction hook behind the fleet
-    /// engine's lanes. The policies are constructed by exactly the same
-    /// constructor calls as [`build_fleet`](Self::build_fleet), so a lane
-    /// fleet starts from bit-identical state; only the storage differs.
+    /// Builds `count` independent policies of the requested kind in their
+    /// fleet storage ([`FleetPolicy`]): the EXP3 family inline, every other
+    /// kind boxed — the construction hook behind the fleet engine's session
+    /// vector. The policies come from exactly the same constructor calls as
+    /// [`build_fleet`](Self::build_fleet), so an inline fleet starts from
+    /// bit-identical state; only the storage differs.
     ///
     /// # Errors
     ///
@@ -236,26 +305,8 @@ impl PolicyFactory {
         &mut self,
         kind: PolicyKind,
         count: usize,
-    ) -> Result<FleetPolicies, ConfigError> {
-        Ok(match kind {
-            PolicyKind::Exp3 => FleetPolicies::Exp3(
-                (0..count)
-                    .map(|_| Exp3::new(self.networks.clone(), self.exp3_config))
-                    .collect::<Result<_, _>>()?,
-            ),
-            PolicyKind::BlockExp3
-            | PolicyKind::HybridBlockExp3
-            | PolicyKind::SmartExp3WithoutReset
-            | PolicyKind::SmartExp3 => {
-                let config = self.smart_variant_config(kind);
-                FleetPolicies::SmartExp3(
-                    (0..count)
-                        .map(|_| SmartExp3::new(self.networks.clone(), config))
-                        .collect::<Result<_, _>>()?,
-                )
-            }
-            _ => FleetPolicies::Boxed(self.build_fleet(kind, count)?),
-        })
+    ) -> Result<Vec<FleetPolicy>, ConfigError> {
+        (0..count).map(|_| self.build_concrete(kind)).collect()
     }
 
     /// The Smart EXP3 configuration for one of the family's feature
@@ -284,35 +335,39 @@ impl PolicyFactory {
     ///
     /// Propagates configuration errors from the underlying constructors.
     pub fn build(&mut self, kind: PolicyKind) -> Result<Box<dyn Policy>, ConfigError> {
+        self.build_concrete(kind).map(FleetPolicy::into_boxed)
+    }
+
+    /// Builds one policy of the requested kind in its fleet storage.
+    fn build_concrete(&mut self, kind: PolicyKind) -> Result<FleetPolicy, ConfigError> {
         let networks = self.networks.clone();
-        let policy: Box<dyn Policy> = match kind {
-            PolicyKind::Exp3 => Box::new(Exp3::new(networks, self.exp3_config)?),
+        Ok(match kind {
+            PolicyKind::Exp3 => FleetPolicy::Exp3(Exp3::new(networks, self.exp3_config)?),
             PolicyKind::BlockExp3
             | PolicyKind::HybridBlockExp3
             | PolicyKind::SmartExp3WithoutReset
             | PolicyKind::SmartExp3 => {
-                Box::new(SmartExp3::new(networks, self.smart_variant_config(kind))?)
+                FleetPolicy::SmartExp3(SmartExp3::new(networks, self.smart_variant_config(kind))?)
             }
-            PolicyKind::Greedy => Box::new(Greedy::new(networks)?),
-            PolicyKind::FixedRandom => Box::new(FixedRandom::new(networks)?),
-            PolicyKind::FullInformation => Box::new(FullInformation::new(
+            PolicyKind::Greedy => FleetPolicy::Boxed(Box::new(Greedy::new(networks)?)),
+            PolicyKind::FixedRandom => FleetPolicy::Boxed(Box::new(FixedRandom::new(networks)?)),
+            PolicyKind::FullInformation => FleetPolicy::Boxed(Box::new(FullInformation::new(
                 networks,
                 self.full_information_config,
-            )?),
+            )?)),
             PolicyKind::Centralized => {
                 if self.coordinator.is_none() {
                     self.coordinator =
                         Some(CentralizedCoordinator::new(self.network_rates.clone())?);
                 }
-                Box::new(
+                FleetPolicy::Boxed(Box::new(
                     self.coordinator
                         .as_ref()
                         .expect("coordinator initialised above")
                         .join(),
-                )
+                ))
             }
-        };
-        Ok(policy)
+        })
     }
 }
 
@@ -359,26 +414,14 @@ mod tests {
             let concrete = concrete_factory.build_fleet_concrete(kind, 3).unwrap();
             let boxed = boxed_factory.build_fleet(kind, 3).unwrap();
             assert_eq!(concrete.len(), 3);
-            assert!(!concrete.is_empty());
-            let concrete_names: Vec<&str> = match &concrete {
-                FleetPolicies::Exp3(v) => v.iter().map(|p| p.name()).collect(),
-                FleetPolicies::SmartExp3(v) => v.iter().map(|p| p.name()).collect(),
-                FleetPolicies::Boxed(v) => v.iter().map(|p| p.name()).collect(),
-            };
+            let concrete_names: Vec<&str> = concrete.iter().map(Policy::name).collect();
             let boxed_names: Vec<&str> = boxed.iter().map(|p| p.name()).collect();
             assert_eq!(concrete_names, boxed_names, "name mismatch for {kind:?}");
-            let expect_lane = matches!(
-                kind,
-                PolicyKind::Exp3
-                    | PolicyKind::BlockExp3
-                    | PolicyKind::HybridBlockExp3
-                    | PolicyKind::SmartExp3WithoutReset
-                    | PolicyKind::SmartExp3
-            );
+            let inline = concrete.iter().all(|p| !matches!(p, FleetPolicy::Boxed(_)));
             assert_eq!(
-                !matches!(concrete, FleetPolicies::Boxed(_)),
-                expect_lane,
-                "lane routing mismatch for {kind:?}"
+                inline,
+                PolicyKind::exp3_family().contains(&kind),
+                "storage mismatch for {kind:?}"
             );
         }
     }

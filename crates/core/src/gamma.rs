@@ -29,7 +29,8 @@ impl GammaSchedule {
     }
 
     /// Evaluates the schedule at `index` (1-based). An `index` of 0 is treated
-    /// as 1.
+    /// as 1. Never panics: an `InverseCubeRoot` floor above 1 saturates at 1,
+    /// and a NaN, zero or negative floor imposes no floor.
     ///
     /// Every fresh decision of every session evaluates the schedule, so the
     /// common small indices read a process-wide precomputed table instead of
@@ -42,7 +43,13 @@ impl GammaSchedule {
             GammaSchedule::InverseCubeRoot { floor } => {
                 let index = index.max(1);
                 let raw = inverse_cube_root_cached(index);
-                raw.clamp(floor.max(f64::MIN_POSITIVE), 1.0)
+                // A NaN floor fails the comparison and imposes no floor.
+                let floor = if floor > f64::MIN_POSITIVE {
+                    floor.min(1.0)
+                } else {
+                    f64::MIN_POSITIVE
+                };
+                raw.clamp(floor, 1.0)
             }
         }
     }
@@ -99,6 +106,40 @@ mod tests {
     fn floor_is_respected() {
         let schedule = GammaSchedule::InverseCubeRoot { floor: 0.05 };
         assert!(schedule.value(usize::MAX / 2) >= 0.05);
+    }
+
+    #[test]
+    fn out_of_range_floors_saturate_instead_of_panicking() {
+        let unfloored = GammaSchedule::InverseCubeRoot { floor: 0.0 };
+        for (floor, expected_at_8) in [
+            (2.0, 1.0),
+            (f64::INFINITY, 1.0),
+            (f64::NAN, 0.5),
+            (-1.0, 0.5),
+            (0.0, 0.5),
+        ] {
+            let schedule = GammaSchedule::InverseCubeRoot { floor };
+            assert_eq!(schedule.value(8), expected_at_8, "floor {floor}");
+            for index in [0, 1, 1000, usize::MAX] {
+                let gamma = schedule.value(index);
+                assert!(gamma > 0.0 && gamma <= 1.0, "floor {floor} at {index}");
+                if expected_at_8 < 1.0 {
+                    assert_eq!(gamma, unfloored.value(index), "floor {floor}");
+                }
+            }
+        }
+        // Floors in (0, 1] keep the unsaturated clamp bit for bit.
+        for floor in [f64::MIN_POSITIVE, 1e-3, 0.05, 0.5, 0.9, 1.0] {
+            let schedule = GammaSchedule::InverseCubeRoot { floor };
+            for index in [1, 2, 8, 27, 1000, 4095, 4096, 1 << 40] {
+                let direct = (index as f64).powf(-1.0 / 3.0).clamp(floor, 1.0);
+                assert_eq!(
+                    schedule.value(index).to_bits(),
+                    direct.to_bits(),
+                    "floor {floor} at {index}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use environment::{
 };
 pub use error::ConfigError;
 pub use exp3::{Exp3, Exp3Config};
-pub use factory::{FleetPolicies, PolicyFactory, PolicyKind};
+pub use factory::{FleetPolicy, PolicyFactory, PolicyKind};
 pub use fixed_random::FixedRandom;
 pub use full_information::{FullInformation, FullInformationConfig};
 pub use gamma::GammaSchedule;

@@ -249,57 +249,6 @@ pub trait Policy: Send {
     }
 }
 
-/// `Box<dyn Policy>` is itself a [`Policy`], delegating every method to the
-/// boxed value. This lets generic drivers — most importantly the fleet
-/// engine's lane loops, which are monomorphized per concrete policy type —
-/// treat the boxed fallback lane as just another `P: Policy`, reusing one
-/// code path for both static and dynamic dispatch.
-impl Policy for Box<dyn Policy> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn choose(&mut self, slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
-        (**self).choose(slot, rng)
-    }
-
-    fn observe(&mut self, observation: &Observation, rng: &mut dyn RngCore) {
-        (**self).observe(observation, rng);
-    }
-
-    fn observe_shared(&mut self, shared: &crate::SharedFeedback, rng: &mut dyn RngCore) {
-        (**self).observe_shared(shared, rng);
-    }
-
-    fn on_networks_changed(&mut self, available: &[NetworkId], rng: &mut dyn RngCore) {
-        (**self).on_networks_changed(available, rng);
-    }
-
-    fn probabilities(&self) -> Vec<(NetworkId, f64)> {
-        (**self).probabilities()
-    }
-
-    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
-        (**self).probabilities_into(out);
-    }
-
-    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        (**self).top_probabilities_into(k, out);
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        (**self).last_selection_kind()
-    }
-
-    fn stats(&self) -> PolicyStats {
-        (**self).stats()
-    }
-
-    fn state(&self) -> Option<crate::PolicyState> {
-        (**self).state()
-    }
-}
-
 /// Returns the probability associated with `network` in a probability listing,
 /// or 0.0 when absent. Convenience used by evaluation code and tests.
 #[must_use]

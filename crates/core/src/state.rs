@@ -11,7 +11,9 @@
 //! a shared [`CentralizedCoordinator`](crate::CentralizedCoordinator), not in
 //! the per-device policy, so it cannot be captured per session.
 
-use crate::{Exp3, FixedRandom, FullInformation, Greedy, Policy, PolicyKind, SmartExp3};
+use crate::{
+    Exp3, FixedRandom, FleetPolicy, FullInformation, Greedy, Policy, PolicyKind, SmartExp3,
+};
 use serde::{Deserialize, Serialize};
 
 /// The full learning state of one distributed policy instance.
@@ -22,9 +24,9 @@ use serde::{Deserialize, Serialize};
 /// [`SmartExp3`] instances with different feature sets, so they round-trip
 /// through the [`PolicyState::SmartExp3`] variant.
 ///
-/// The variants carry *concrete* policy values, which is what lets the fleet
-/// engine route a restored [`PolicyState::Exp3`] / [`PolicyState::SmartExp3`]
-/// back into its monomorphized fleet lanes instead of boxing it: lane and
+/// The variants carry *concrete* policy values, which is what lets a restored
+/// [`PolicyState::Exp3`] / [`PolicyState::SmartExp3`] become an inline
+/// [`FleetPolicy`] (`From<PolicyState>`) instead of a boxed one: inline and
 /// boxed sessions snapshot to the same bytes and restore bit-identically.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum PolicyState {
@@ -67,6 +69,20 @@ impl PolicyState {
             PolicyState::Greedy(_) => PolicyKind::Greedy,
             PolicyState::FixedRandom(_) => PolicyKind::FixedRandom,
             PolicyState::FullInformation(_) => PolicyKind::FullInformation,
+        }
+    }
+}
+
+/// Restores a policy into its fleet storage: the EXP3 family inline, the
+/// other distributed policies boxed — the same variant
+/// [`PolicyFactory::build_fleet_concrete`](crate::PolicyFactory::build_fleet_concrete)
+/// picks for a freshly built policy of that type.
+impl From<PolicyState> for FleetPolicy {
+    fn from(state: PolicyState) -> Self {
+        match state {
+            PolicyState::Exp3(policy) => FleetPolicy::Exp3(*policy),
+            PolicyState::SmartExp3(policy) => FleetPolicy::SmartExp3(*policy),
+            other => FleetPolicy::Boxed(other.into_policy()),
         }
     }
 }

@@ -5,21 +5,19 @@
 //! plus its own deterministic RNG stream — and steps them in parallel with
 //! batched APIs.
 //!
-//! ## Fleet lanes
+//! ## Session storage
 //!
-//! Sessions are stored in contiguous homogeneous **lane segments**: fleets
-//! built through [`FleetEngine::add_fleet`] keep EXP3-family policies as
-//! concrete values (`Vec<LaneSession<Exp3>>` / `Vec<LaneSession<SmartExp3>>`)
-//! laid out back-to-back in session order, and every per-slot phase loop is
-//! monomorphized per lane — no `Box` pointer-chase, no vtable call per
-//! decision. Everything else (baselines, oracles, third-party policies via
-//! [`FleetEngine::add_session`], or any fleet with
-//! [`FleetConfig::fleet_lanes`] off) runs on the **boxed fallback lane**,
-//! which executes the exact same generic loop bodies through `Box<dyn
-//! Policy>`. Lane routing is a storage decision only: each session keeps its
-//! private RNG stream and runs the same policy code, so a lane fleet is
-//! **bit-identical** to an all-boxed fleet — same decisions, same snapshot
-//! bytes (up to the recorded config flag), at any thread count.
+//! Sessions live in **one vector**, in session order. Each session's policy
+//! is a [`FleetPolicy`]: fleets built through [`FleetEngine::add_fleet`]
+//! store EXP3-family policies inline as concrete values (static dispatch
+//! behind one `match`, no `Box` pointer-chase), while baselines, oracles and
+//! policies handed to [`FleetEngine::add_session`] stay behind `Box<dyn
+//! Policy>`. The policy's type picks the variant; the variant is storage
+//! only. Each session keeps its private RNG stream and runs the same policy
+//! code either way, so an inline fleet is **bit-identical** to an all-boxed
+//! fleet — same decisions, same snapshot bytes, at any thread count. Every
+//! stepping phase walks the vector in shards of
+//! [`FleetConfig::shard_size`].
 //!
 //! ## Seeding model
 //!
@@ -85,9 +83,9 @@ use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use serde::{Deserialize, Serialize};
 use smartexp3_core::{
-    splitmix64, ConfigError, Environment, Exp3, FleetPolicies, NetworkId, NetworkStats,
-    Observation, PartitionExecutor, PartitionJob, Policy, PolicyFactory, PolicyKind, PolicyState,
-    PolicyStats, SharedFeedback, SlotIndex, SmartExp3,
+    splitmix64, ConfigError, Environment, FleetPolicy, NetworkId, NetworkStats, Observation,
+    PartitionExecutor, PartitionJob, Policy, PolicyFactory, PolicyKind, PolicyState, PolicyStats,
+    SharedFeedback, SlotIndex,
 };
 use smartexp3_telemetry::{
     Histogram, LatencyStats, SamplerCounters, SlotTiming, TelemetryRecord, TelemetrySink,
@@ -131,14 +129,6 @@ pub struct FleetConfig {
     /// sequential path (fan-out would be pure dispatch overhead). Results
     /// are independent of this value by the partition contract.
     pub partitioned_feedback: bool,
-    /// Whether [`FleetEngine::add_fleet`] routes EXP3-family policies into
-    /// homogeneous **fleet lanes** — contiguous, monomorphized per-kind
-    /// storage stepped with static dispatch (the default). `false` forces
-    /// every session onto the boxed fallback lane, reproducing the
-    /// historical `Vec<Box<dyn Policy>>` layout — useful for measuring the
-    /// lane speedup. Lanes hold the same policy states and per-session RNG
-    /// streams as boxes, so results are independent of this value.
-    pub fleet_lanes: bool,
     /// Whether the event-driven path records per-decision wake-to-decision
     /// latency histograms (the default). The measurement costs one
     /// monotonic-clock read per decision — on par with an alias-table draw
@@ -157,7 +147,6 @@ impl Default for FleetConfig {
             shard_size: 1024,
             threads: None,
             partitioned_feedback: true,
-            fleet_lanes: true,
             wake_latency: true,
         }
     }
@@ -191,14 +180,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_partitioned_feedback(mut self, partitioned: bool) -> Self {
         self.partitioned_feedback = partitioned;
-        self
-    }
-
-    /// Enables or disables the monomorphized fleet lanes (on by default);
-    /// see [`FleetConfig::fleet_lanes`].
-    #[must_use]
-    pub fn with_fleet_lanes(mut self, lanes: bool) -> Self {
-        self.fleet_lanes = lanes;
         self
     }
 
@@ -241,16 +222,12 @@ pub fn session_rng(root_seed: u64, id: SessionId) -> StdRng {
 }
 
 /// One hosted session: a policy plus its private RNG stream and statistics.
-///
-/// `P` is the policy storage: a concrete EXP3-family type on the
-/// monomorphized fleet lanes (the policy lives *inline* in the lane's `Vec`,
-/// so a shard walk is a linear scan), or `Box<dyn Policy>` on the fallback
-/// lane. `Box<dyn Policy>` implements [`Policy`] by delegation, so every
-/// phase loop is written once, generically.
-struct LaneSession<P> {
+struct Session {
     id: SessionId,
     kind: PolicyKind,
-    policy: P,
+    /// The policy, inline for the EXP3 family and boxed otherwise (see the
+    /// crate docs on session storage).
+    policy: FleetPolicy,
     rng: StdRng,
     /// Per-session gain statistics ([`NetworkStats`]), merged into fleet-wide
     /// per-kind aggregates by [`FleetEngine::metrics`].
@@ -260,7 +237,7 @@ struct LaneSession<P> {
     last_choice: Option<NetworkId>,
 }
 
-impl<P: Policy> LaneSession<P> {
+impl Session {
     fn choose(&mut self, slot: SlotIndex) -> NetworkId {
         let chosen = self.policy.choose(slot, &mut self.rng);
         self.last_choice = Some(chosen);
@@ -272,109 +249,6 @@ impl<P: Policy> LaneSession<P> {
             .record_slot(observation.network, observation.scaled_gain);
         self.policy.observe(observation, &mut self.rng);
     }
-}
-
-/// A contiguous run of same-storage sessions, in global session order.
-///
-/// Sessions added consecutively with the same storage type extend the last
-/// segment; a storage change starts a new one. Segments therefore partition
-/// the global session index space into contiguous ranges by construction,
-/// which is what lets the engine hand each rayon worker a plain sub-slice of
-/// a lane plus the matching sub-slices of the global per-session buffers —
-/// no scatter indices, no `unsafe`.
-enum LaneSegment {
-    /// Monomorphized lane: slot-level EXP3, stored inline.
-    Exp3(Vec<LaneSession<Exp3>>),
-    /// Monomorphized lane: Smart EXP3 (the full algorithm and all feature
-    /// ablations are one concrete type), stored inline.
-    Smart(Vec<LaneSession<SmartExp3>>),
-    /// Fallback lane: anything behind `Box<dyn Policy>` (baselines, oracles,
-    /// third-party policies, or entire fleets with
-    /// [`FleetConfig::fleet_lanes`] off).
-    Boxed(Vec<LaneSession<Box<dyn Policy>>>),
-}
-
-/// A shard — at most `shard_size` contiguous sessions of one segment —
-/// handed to a rayon worker. The variant is matched **once per shard**, so
-/// the per-session loop body inside is statically dispatched for the
-/// monomorphized lanes.
-enum ShardSessions<'a> {
-    /// Shard of an [`LaneSegment::Exp3`] lane.
-    Exp3(&'a mut [LaneSession<Exp3>]),
-    /// Shard of a [`LaneSegment::Smart`] lane.
-    Smart(&'a mut [LaneSession<SmartExp3>]),
-    /// Shard of the boxed fallback lane.
-    Boxed(&'a mut [LaneSession<Box<dyn Policy>>]),
-}
-
-impl LaneSegment {
-    fn len(&self) -> usize {
-        match self {
-            LaneSegment::Exp3(lane) => lane.len(),
-            LaneSegment::Smart(lane) => lane.len(),
-            LaneSegment::Boxed(lane) => lane.len(),
-        }
-    }
-
-    /// Splits the segment into shard-sized session runs (the final shard may
-    /// be shorter), wrapped for once-per-shard lane dispatch.
-    fn shards(&mut self, shard_size: usize) -> Vec<ShardSessions<'_>> {
-        match self {
-            LaneSegment::Exp3(lane) => lane
-                .chunks_mut(shard_size)
-                .map(ShardSessions::Exp3)
-                .collect(),
-            LaneSegment::Smart(lane) => lane
-                .chunks_mut(shard_size)
-                .map(ShardSessions::Smart)
-                .collect(),
-            LaneSegment::Boxed(lane) => lane
-                .chunks_mut(shard_size)
-                .map(ShardSessions::Boxed)
-                .collect(),
-        }
-    }
-}
-
-/// Runs `$body` with `$sessions` bound to the shard's typed session slice.
-/// The match happens once per shard, so `$body` is monomorphized per lane:
-/// static dispatch (and cross-call inlining) on the EXP3/Smart lanes, the
-/// historical vtable path on the boxed fallback lane.
-macro_rules! with_lane {
-    ($shard:expr, |$sessions:ident| $body:expr) => {
-        match $shard {
-            ShardSessions::Exp3($sessions) => $body,
-            ShardSessions::Smart($sessions) => $body,
-            ShardSessions::Boxed($sessions) => $body,
-        }
-    };
-}
-
-/// Iterates every session of every segment in global session order, binding
-/// `$session` to a `&`/`&mut LaneSession<_>` per the borrow of `$segments`.
-/// Used by the sequential cold paths (metrics, snapshot, broadcast).
-macro_rules! for_each_lane_session {
-    ($segments:expr, |$session:ident| $body:expr) => {
-        for segment in $segments {
-            match segment {
-                LaneSegment::Exp3(lane) => {
-                    for $session in lane {
-                        $body
-                    }
-                }
-                LaneSegment::Smart(lane) => {
-                    for $session in lane {
-                        $body
-                    }
-                }
-                LaneSegment::Boxed(lane) => {
-                    for $session in lane {
-                        $body
-                    }
-                }
-            }
-        }
-    };
 }
 
 /// Reusable per-shard buffers for batched stepping.
@@ -561,7 +435,7 @@ fn version_hint(version: u32) -> Option<&'static str> {
              re-run under SNAPSHOT_VERSION 5 or regenerate the checkpoint"
         }
         6 => {
-            "version 6 configs predate the fleet-lanes switch; \
+            "version 6 texts predate the event-engine wake queue; \
              re-run under SNAPSHOT_VERSION 6 or regenerate the checkpoint"
         }
         7 => {
@@ -630,16 +504,13 @@ impl std::error::Error for SnapshotError {}
 /// the cached exponentials — so a restored dense-spectrum session resumes
 /// its O(log k) sampler bit-identically.
 ///
-/// Version 7: the engine configuration records the fleet-lanes switch
-/// ([`FleetConfig::fleet_lanes`]). Lane routing is storage layout only —
-/// session states, RNG streams and trajectories are identical either way,
-/// and on restore EXP3-family [`PolicyState`]s are routed back into lanes
-/// (or boxed, per the recorded flag) — but a version-6 text lacks the
-/// field. Texts from versions 2–6 therefore fail to parse field-for-field,
-/// so when a parse fails [`from_json`](FleetEngine::from_json) probes the
-/// version and reports [`SnapshotError::UnsupportedVersion`] instead of a
-/// confusing missing-field error (with a per-version hint, see
-/// [`version_hint`]).
+/// Version 7: the engine configuration recorded a storage-layout switch
+/// that has since been removed (readers skip the key, so version-9 texts
+/// that still carry it load unchanged). Texts from versions 2–6 fail to
+/// parse field-for-field, so when a parse fails
+/// [`from_json`](FleetEngine::from_json) probes the version and reports
+/// [`SnapshotError::UnsupportedVersion`] instead of a confusing
+/// missing-field error (with a per-version hint from `version_hint`).
 ///
 /// Version 8: snapshots carry the event-driven engine's **wake queue**
 /// ([`FleetSnapshot::wake_queue`]) — the pending `(wake_time, session)`
@@ -720,27 +591,11 @@ pub struct WakeEntry {
     pub session: u64,
 }
 
-/// Per-shard work unit of [`FleetEngine::step_with`]: sessions, the shard's
-/// slice of the last-choice mirror, and its persistent scratch.
-type StepShard<'a> = (
-    ShardSessions<'a>,
-    &'a mut [Option<NetworkId>],
-    &'a mut SlotScratch,
-);
-
-/// Per-shard work unit of [`FleetEngine::choose_all`]: sessions, the shard's
-/// slices of the choice output and the last-choice mirror.
-type ChooseAllShard<'a> = (
-    ShardSessions<'a>,
-    &'a mut [NetworkId],
-    &'a mut [Option<NetworkId>],
-);
-
 /// Per-shard work unit of the env choose phase: shard offset, sessions, the
 /// shard's slices of the joint-choice buffer and the last-choice mirror.
 type ChooseShard<'a> = (
     usize,
-    ShardSessions<'a>,
+    &'a mut [Session],
     &'a mut [Option<NetworkId>],
     &'a mut [Option<NetworkId>],
 );
@@ -749,20 +604,9 @@ type ChooseShard<'a> = (
 /// shard's slice of the top-choice buffer and its persistent scratch.
 type ObserveShard<'a> = (
     usize,
-    ShardSessions<'a>,
+    &'a mut [Session],
     &'a mut [Option<(NetworkId, f64)>],
     &'a mut SlotScratch,
-);
-
-/// Per-shard work unit of the event-driven choose phase: global offset,
-/// sessions, the shard's slices of the joint-choice buffer and last-choice
-/// mirror, and its wake-to-decision latency histogram.
-type EventChooseShard<'a> = (
-    usize,
-    ShardSessions<'a>,
-    &'a mut [Option<NetworkId>],
-    &'a mut [Option<NetworkId>],
-    &'a mut Histogram,
 );
 
 /// Layout of the wake-to-decision latency histograms: first real bucket at
@@ -772,100 +616,133 @@ const LATENCY_MIN_EXP: i32 = -30;
 /// Bucket count of the latency histograms (see [`LATENCY_MIN_EXP`]).
 const LATENCY_BUCKETS: usize = 34;
 
-impl ShardSessions<'_> {
-    /// Sessions in the shard.
-    fn len(&self) -> usize {
-        match self {
-            ShardSessions::Exp3(sessions) => sessions.len(),
-            ShardSessions::Smart(sessions) => sessions.len(),
-            ShardSessions::Boxed(sessions) => sessions.len(),
-        }
-    }
-}
-
-/// Carves the runs intersecting one lane into `(global_offset, shard)` work
-/// units of at most `shard_size` sessions, via progressive `split_at_mut` —
-/// the event-path analogue of [`LaneSegment::shards`], restricted to a wake
-/// cohort. `runs` are disjoint ascending global index ranges; `lane` starts
-/// at global index `segment_start`.
-fn carve_lane<'a, P>(
-    mut lane: &'a mut [LaneSession<P>],
-    segment_start: usize,
-    runs: &[(usize, usize)],
-    shard_size: usize,
-    wrap: fn(&'a mut [LaneSession<P>]) -> ShardSessions<'a>,
-    out: &mut Vec<(usize, ShardSessions<'a>)>,
+/// Choose phase of one shard at slot `t`: every session absorbs a visibility
+/// change if its [`SessionView`](smartexp3_core::SessionView) reports one
+/// and, when active, decides with its private RNG stream. With `latency`
+/// set, each decision's wall-clock time since the given cohort start is
+/// recorded into the histogram.
+fn choose_shard(
+    env: &dyn Environment,
+    t: SlotIndex,
+    (offset, sessions, choices, last): ChooseShard<'_>,
+    mut latency: Option<(&mut Histogram, Instant)>,
 ) {
-    let segment_end = segment_start + lane.len();
-    // Global index of `lane[0]` as the leading part is progressively split
-    // away.
-    let mut cursor = segment_start;
-    for &(start, end) in runs {
-        let a = start.max(segment_start);
-        let b = end.min(segment_end);
-        if a >= b {
+    for (i, session) in sessions.iter_mut().enumerate() {
+        let view = env.session_view(offset + i, t);
+        if let Some(networks) = view.networks_changed {
+            session
+                .policy
+                .on_networks_changed(networks, &mut session.rng);
+        }
+        choices[i] = if view.active {
+            let chosen = session.choose(t);
+            last[i] = Some(chosen);
+            if let Some((histogram, start)) = &mut latency {
+                histogram.record(start.elapsed().as_secs_f64());
+            }
+            Some(chosen)
+        } else {
+            None
+        };
+    }
+}
+
+/// Observe phase of one shard: every session with feedback ingests its
+/// observation, then (in a cooperative world) the gossip digest it can
+/// hear — copied into the shard's recycled scratch buffer — and, when the
+/// environment wants top choices, reports its most probable network.
+/// Sessions without feedback did not decide and leave a `None` top.
+fn observe_shard(
+    env: &dyn Environment,
+    feedback: &[Option<Observation>],
+    wants_tops: bool,
+    shares_feedback: bool,
+    (offset, sessions, tops, scratch): ObserveShard<'_>,
+) {
+    for (i, session) in sessions.iter_mut().enumerate() {
+        let Some(observation) = &feedback[offset + i] else {
+            if wants_tops {
+                tops[i] = None;
+            }
             continue;
+        };
+        session.observe(observation);
+        if shares_feedback && env.shared_feedback_into(offset + i, &mut scratch.shared) {
+            session
+                .policy
+                .observe_shared(&scratch.shared, &mut session.rng);
         }
-        let (_, tail) = lane.split_at_mut(a - cursor);
-        let (mut hit, tail) = tail.split_at_mut(b - a);
-        lane = tail;
-        cursor = b;
-        let mut offset = a;
-        while hit.len() > shard_size {
-            let (chunk, rest) = hit.split_at_mut(shard_size);
-            out.push((offset, wrap(chunk)));
-            offset += shard_size;
-            hit = rest;
-        }
-        if !hit.is_empty() {
-            out.push((offset, wrap(hit)));
+        if wants_tops {
+            // Bounded top-1 read: O(K) with no full listing write-out. Ties
+            // resolve to the later-listed arm, exactly as the full-listing
+            // `max_by` scan this replaces (see
+            // `Policy::top_probabilities_into`).
+            session
+                .policy
+                .top_probabilities_into(1, &mut scratch.probabilities);
+            tops[i] = scratch.probabilities.first().copied();
         }
     }
 }
 
-/// Carves a wake cohort (as disjoint ascending `runs` of global session
-/// indices) across all lane segments into typed shard work units, in global
-/// session order. With a single run covering every session this produces
-/// exactly the sharding of the slot-synchronous path — which is what keeps
-/// uniform-cadence event stepping bit-identical to [`FleetEngine::step_env`].
-fn carve_cohort<'a>(
-    segments: &'a mut [LaneSegment],
+/// Carves a wake cohort out of a per-session slice (the session vector or
+/// any buffer aligned with it) into `(global_offset, shard)` work units of at
+/// most `shard_size` entries, in session order. `runs` are the cohort's
+/// disjoint ascending `[start, end)` index ranges. With a single run
+/// covering every session this is exactly the sharding of the
+/// slot-synchronous path — which is what keeps uniform-cadence event
+/// stepping bit-identical to [`FleetEngine::step_env`] — and carving two
+/// aligned slices with the same runs yields matching shards.
+fn carve_cohort<'a, T>(
+    mut items: &'a mut [T],
     runs: &[(usize, usize)],
     shard_size: usize,
-) -> Vec<(usize, ShardSessions<'a>)> {
+) -> Vec<(usize, &'a mut [T])> {
     let mut out = Vec::new();
-    let mut segment_start = 0usize;
-    for segment in segments {
-        let n = segment.len();
-        match segment {
-            LaneSegment::Exp3(lane) => carve_lane(
-                lane.as_mut_slice(),
-                segment_start,
-                runs,
-                shard_size,
-                ShardSessions::Exp3,
-                &mut out,
-            ),
-            LaneSegment::Smart(lane) => carve_lane(
-                lane.as_mut_slice(),
-                segment_start,
-                runs,
-                shard_size,
-                ShardSessions::Smart,
-                &mut out,
-            ),
-            LaneSegment::Boxed(lane) => carve_lane(
-                lane.as_mut_slice(),
-                segment_start,
-                runs,
-                shard_size,
-                ShardSessions::Boxed,
-                &mut out,
-            ),
-        }
-        segment_start += n;
+    // Global index of `items[0]` as the leading part is split away.
+    let mut cursor = 0usize;
+    for &(start, end) in runs {
+        let (_, tail) = std::mem::take(&mut items).split_at_mut(start - cursor);
+        let (hit, tail) = tail.split_at_mut(end - start);
+        items = tail;
+        cursor = end;
+        out.extend(
+            hit.chunks_mut(shard_size)
+                .enumerate()
+                .map(|(i, shard)| (start + i * shard_size, shard)),
+        );
     }
     out
+}
+
+/// Checks that a snapshot's wake queue names every session at most once and
+/// only sessions the snapshot holds. A duplicated entry would put one session
+/// into a wake cohort twice and an out-of-range entry would be a phantom
+/// wake, so both are rejected at restore rather than discovered mid-run.
+fn check_wake_queue(snapshot: &FleetSnapshot) -> Result<(), SnapshotError> {
+    let Some(queue) = &snapshot.wake_queue else {
+        return Ok(());
+    };
+    let mut queued = vec![false; snapshot.sessions.len()];
+    for entry in queue {
+        let seen = usize::try_from(entry.session)
+            .ok()
+            .and_then(|index| queued.get_mut(index))
+            .ok_or_else(|| {
+                SnapshotError::Malformed(format!(
+                    "wake queue names session {} of a {}-session fleet",
+                    entry.session,
+                    snapshot.sessions.len()
+                ))
+            })?;
+        if std::mem::replace(seen, true) {
+            return Err(SnapshotError::Malformed(format!(
+                "wake queue names session {} twice",
+                entry.session
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The engine-side [`PartitionExecutor`]: runs an environment's feedback
@@ -892,10 +769,8 @@ impl PartitionExecutor for PoolExecutor<'_> {
 pub struct FleetEngine {
     config: FleetConfig,
     pool: Option<ThreadPool>,
-    /// Sessions in global session order, stored as contiguous homogeneous
-    /// lane segments (see the crate docs on fleet lanes). `self.last` always
-    /// holds one entry per session, so it doubles as the session count.
-    segments: Vec<LaneSegment>,
+    /// Sessions in session order (see the crate docs on session storage).
+    sessions: Vec<Session>,
     slot: SlotIndex,
     next_id: u64,
     decisions: u64,
@@ -965,7 +840,7 @@ impl FleetEngine {
         FleetEngine {
             config,
             pool,
-            segments: Vec::new(),
+            sessions: Vec::new(),
             slot: 0,
             next_id: 0,
             decisions: 0,
@@ -995,14 +870,13 @@ impl FleetEngine {
     /// Number of hosted sessions.
     #[must_use]
     pub fn len(&self) -> usize {
-        // The last-choice mirror always has exactly one entry per session.
-        self.last.len()
+        self.sessions.len()
     }
 
     /// `true` when the fleet hosts no sessions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.last.is_empty()
+        self.sessions.is_empty()
     }
 
     /// The next slot to be stepped.
@@ -1011,69 +885,38 @@ impl FleetEngine {
         self.slot
     }
 
-    /// Builds the `LaneSession` for the next session id, advancing the id
-    /// counter and growing the last-choice mirror. The caller appends the
-    /// session to the appropriate lane.
-    fn new_lane_session<P>(&mut self, kind: PolicyKind, policy: P) -> LaneSession<P> {
+    /// Appends a session running `policy` under the next session id and its
+    /// private RNG stream, growing the last-choice mirror.
+    fn push_session(&mut self, kind: PolicyKind, policy: FleetPolicy) -> SessionId {
         let id = SessionId(self.next_id);
         self.next_id += 1;
         self.last.push(None);
         // A grown fleet needs its wake queue re-seeded (the new session has
         // no pending wake yet).
         self.wakes_primed = false;
-        LaneSession {
+        self.sessions.push(Session {
             id,
             kind,
             rng: session_rng(self.config.root_seed, id),
             policy,
             gains: NetworkStats::new(),
             last_choice: None,
-        }
-    }
-
-    /// Appends to the trailing boxed segment, or starts one. (And likewise
-    /// for the two monomorphized lanes below: extending only the *last*
-    /// segment preserves global session order under interleaved adds.)
-    fn append_boxed(&mut self, session: LaneSession<Box<dyn Policy>>) {
-        match self.segments.last_mut() {
-            Some(LaneSegment::Boxed(lane)) => lane.push(session),
-            _ => self.segments.push(LaneSegment::Boxed(vec![session])),
-        }
-    }
-
-    fn append_exp3(&mut self, session: LaneSession<Exp3>) {
-        match self.segments.last_mut() {
-            Some(LaneSegment::Exp3(lane)) => lane.push(session),
-            _ => self.segments.push(LaneSegment::Exp3(vec![session])),
-        }
-    }
-
-    fn append_smart(&mut self, session: LaneSession<SmartExp3>) {
-        match self.segments.last_mut() {
-            Some(LaneSegment::Smart(lane)) => lane.push(session),
-            _ => self.segments.push(LaneSegment::Smart(vec![session])),
-        }
-    }
-
-    /// Adds one session running `policy`, assigning it the next session id
-    /// and its private RNG stream. Individually added boxed policies always
-    /// run on the fallback lane; bulk EXP3-family adds through
-    /// [`add_fleet`](Self::add_fleet) go to the monomorphized lanes.
-    pub fn add_session(&mut self, kind: PolicyKind, policy: Box<dyn Policy>) -> SessionId {
-        let session = self.new_lane_session(kind, policy);
-        let id = session.id;
-        self.append_boxed(session);
+        });
         id
     }
 
-    /// Bulk-adds `count` sessions of `kind` built by `factory` (via the
-    /// factory's bulk-construction hook). Returns the ids of the new
-    /// sessions, which are always a contiguous run.
-    ///
-    /// With [`FleetConfig::fleet_lanes`] on (the default), EXP3-family kinds
-    /// are stored concretely in monomorphized lane segments; other kinds —
-    /// and every kind when the toggle is off — go to the boxed fallback
-    /// lane. The routing never changes behaviour, only storage.
+    /// Adds one session running `policy`, assigning it the next session id
+    /// and its private RNG stream. The policy stays boxed; bulk EXP3-family
+    /// adds through [`add_fleet`](Self::add_fleet) are stored inline.
+    pub fn add_session(&mut self, kind: PolicyKind, policy: Box<dyn Policy>) -> SessionId {
+        self.push_session(kind, FleetPolicy::Boxed(policy))
+    }
+
+    /// Bulk-adds `count` sessions of `kind` built by `factory` (via
+    /// [`PolicyFactory::build_fleet_concrete`], so EXP3-family kinds are
+    /// stored inline and other kinds boxed — storage only, never
+    /// behaviour). Returns the ids of the new sessions, which are always a
+    /// contiguous run.
     ///
     /// # Errors
     ///
@@ -1085,48 +928,11 @@ impl FleetEngine {
         kind: PolicyKind,
         count: usize,
     ) -> Result<Vec<SessionId>, ConfigError> {
-        if !self.config.fleet_lanes {
-            let policies = factory.build_fleet(kind, count)?;
-            return Ok(policies
-                .into_iter()
-                .map(|policy| self.add_session(kind, policy))
-                .collect());
-        }
-        Ok(match factory.build_fleet_concrete(kind, count)? {
-            FleetPolicies::Exp3(policies) => policies
-                .into_iter()
-                .map(|policy| {
-                    let session = self.new_lane_session(kind, policy);
-                    let id = session.id;
-                    self.append_exp3(session);
-                    id
-                })
-                .collect(),
-            FleetPolicies::SmartExp3(policies) => policies
-                .into_iter()
-                .map(|policy| {
-                    let session = self.new_lane_session(kind, policy);
-                    let id = session.id;
-                    self.append_smart(session);
-                    id
-                })
-                .collect(),
-            FleetPolicies::Boxed(policies) => policies
-                .into_iter()
-                .map(|policy| self.add_session(kind, policy))
-                .collect(),
-        })
-    }
-
-    /// Total shard count across all segments for the given shard size.
-    /// Shards never span a segment boundary (each worker gets one typed
-    /// slice), so this can exceed `len().div_ceil(shard_size)` in a
-    /// mixed-lane fleet.
-    fn shard_count(&self, shard_size: usize) -> usize {
-        self.segments
-            .iter()
-            .map(|segment| segment.len().div_ceil(shard_size))
-            .sum()
+        Ok(factory
+            .build_fleet_concrete(kind, count)?
+            .into_iter()
+            .map(|policy| self.push_session(kind, policy))
+            .collect())
     }
 
     /// Grows the per-shard scratch pool to cover `shard_count` shards —
@@ -1160,34 +966,21 @@ impl FleetEngine {
         // could be observed without a recorded choice, and no panic path.
         self.choices.clear();
         self.choices.resize(count, NetworkId(0));
-        let mut work: Vec<ChooseAllShard<'_>> = Vec::new();
-        let mut choices = self.choices.as_mut_slice();
-        let mut last = self.last.as_mut_slice();
-        for segment in &mut self.segments {
-            let n = segment.len();
-            let (segment_choices, rest) = choices.split_at_mut(n);
-            choices = rest;
-            let (segment_last, rest) = last.split_at_mut(n);
-            last = rest;
-            for ((shard, c), l) in segment
-                .shards(shard_size)
-                .into_iter()
-                .zip(segment_choices.chunks_mut(shard_size))
-                .zip(segment_last.chunks_mut(shard_size))
-            {
-                work.push((shard, c, l));
-            }
-        }
+        let work: Vec<_> = self
+            .sessions
+            .chunks_mut(shard_size)
+            .zip(self.choices.chunks_mut(shard_size))
+            .zip(self.last.chunks_mut(shard_size))
+            .collect();
         Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|(shard, choices, last)| {
-                with_lane!(shard, |sessions| {
+            work.into_par_iter()
+                .for_each(|((sessions, choices), last)| {
                     for (i, session) in sessions.iter_mut().enumerate() {
                         let chosen = session.choose(slot);
                         choices[i] = chosen;
                         last[i] = Some(chosen);
                     }
                 });
-            });
         });
         self.decisions += count as u64;
         &self.choices
@@ -1208,22 +1001,16 @@ impl FleetEngine {
             "one observation per session required"
         );
         let shard_size = self.config.shard_size.max(1);
-        let mut work: Vec<(usize, ShardSessions<'_>)> = Vec::new();
-        let mut segment_start = 0usize;
-        for segment in &mut self.segments {
-            let n = segment.len();
-            for (i, shard) in segment.shards(shard_size).into_iter().enumerate() {
-                work.push((segment_start + i * shard_size, shard));
-            }
-            segment_start += n;
-        }
+        let work: Vec<_> = self
+            .sessions
+            .chunks_mut(shard_size)
+            .zip(observations.chunks(shard_size))
+            .collect();
         Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|(offset, shard)| {
-                with_lane!(shard, |sessions| {
-                    for (i, session) in sessions.iter_mut().enumerate() {
-                        session.observe(&observations[offset + i]);
-                    }
-                });
+            work.into_par_iter().for_each(|(sessions, observations)| {
+                for (session, observation) in sessions.iter_mut().zip(observations) {
+                    session.observe(observation);
+                }
             });
         });
         self.slot += 1;
@@ -1246,28 +1033,17 @@ impl FleetEngine {
         let slot = self.slot;
         let shard_size = self.config.shard_size.max(1);
         let count = self.len();
-        let shard_count = self.shard_count(shard_size);
-        self.ensure_scratch(shard_count);
-        let mut work: Vec<StepShard<'_>> = Vec::new();
-        let mut last = self.last.as_mut_slice();
-        let mut scratch = self.scratch.iter_mut();
-        for segment in &mut self.segments {
-            let n = segment.len();
-            let (segment_last, rest) = last.split_at_mut(n);
-            last = rest;
-            for ((shard, l), s) in segment
-                .shards(shard_size)
-                .into_iter()
-                .zip(segment_last.chunks_mut(shard_size))
-                .zip(&mut scratch)
-            {
-                work.push((shard, l, s));
-            }
-        }
+        self.ensure_scratch(count.div_ceil(shard_size));
+        let work: Vec<_> = self
+            .sessions
+            .chunks_mut(shard_size)
+            .zip(self.last.chunks_mut(shard_size))
+            .zip(self.scratch.iter_mut())
+            .collect();
         let feedback = &feedback;
         Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|(shard, last, scratch)| {
-                with_lane!(shard, |sessions| {
+            work.into_par_iter()
+                .for_each(|((sessions, last), scratch)| {
                     for (index, session) in sessions.iter_mut().enumerate() {
                         let previous = session.last_choice;
                         let chosen = session.choose(slot);
@@ -1284,7 +1060,6 @@ impl FleetEngine {
                         scratch.recycle(observation);
                     }
                 });
-            });
         });
         self.decisions += count as u64;
         self.slot += 1;
@@ -1401,48 +1176,17 @@ impl FleetEngine {
         }
         {
             let env_view: &dyn Environment = env;
-            let mut work: Vec<ChooseShard<'_>> = Vec::new();
-            let mut choices = self.env_choices.as_mut_slice();
-            let mut last = self.last.as_mut_slice();
-            let mut segment_start = 0usize;
-            for segment in &mut self.segments {
-                let n = segment.len();
-                let (segment_choices, rest) = choices.split_at_mut(n);
-                choices = rest;
-                let (segment_last, rest) = last.split_at_mut(n);
-                last = rest;
-                for (i, ((shard, c), l)) in segment
-                    .shards(shard_size)
-                    .into_iter()
-                    .zip(segment_choices.chunks_mut(shard_size))
-                    .zip(segment_last.chunks_mut(shard_size))
-                    .enumerate()
-                {
-                    work.push((segment_start + i * shard_size, shard, c, l));
-                }
-                segment_start += n;
-            }
+            let work: Vec<ChooseShard<'_>> = self
+                .sessions
+                .chunks_mut(shard_size)
+                .zip(self.env_choices.chunks_mut(shard_size))
+                .zip(self.last.chunks_mut(shard_size))
+                .enumerate()
+                .map(|(i, ((sessions, choices), last))| (i * shard_size, sessions, choices, last))
+                .collect();
             Self::in_pool(&self.pool, || {
                 work.into_par_iter()
-                    .for_each(|(offset, shard, choices, last)| {
-                        with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let view = env_view.session_view(offset + i, slot);
-                                if let Some(networks) = view.networks_changed {
-                                    session
-                                        .policy
-                                        .on_networks_changed(networks, &mut session.rng);
-                                }
-                                choices[i] = if view.active {
-                                    let chosen = session.choose(slot);
-                                    last[i] = Some(chosen);
-                                    Some(chosen)
-                                } else {
-                                    None
-                                };
-                            }
-                        });
-                    });
+                    .for_each(|shard| choose_shard(env_view, slot, shard, None));
             });
         }
         let active = self.env_choices.iter().flatten().count() as u64;
@@ -1486,65 +1230,22 @@ impl FleetEngine {
         if self.env_tops.len() != count {
             self.env_tops.resize(count, None);
         }
-        let shard_count = self.shard_count(shard_size);
-        self.ensure_scratch(shard_count);
+        self.ensure_scratch(count.div_ceil(shard_size));
         {
             let env_view: &dyn Environment = env;
             let feedback = &self.env_feedback;
-            let mut work: Vec<ObserveShard<'_>> = Vec::new();
-            let mut tops = self.env_tops.as_mut_slice();
-            let mut scratch = self.scratch.iter_mut();
-            let mut segment_start = 0usize;
-            for segment in &mut self.segments {
-                let n = segment.len();
-                let (segment_tops, rest) = tops.split_at_mut(n);
-                tops = rest;
-                for (i, ((shard, t), s)) in segment
-                    .shards(shard_size)
-                    .into_iter()
-                    .zip(segment_tops.chunks_mut(shard_size))
-                    .zip(&mut scratch)
-                    .enumerate()
-                {
-                    work.push((segment_start + i * shard_size, shard, t, s));
-                }
-                segment_start += n;
-            }
+            let work: Vec<ObserveShard<'_>> = self
+                .sessions
+                .chunks_mut(shard_size)
+                .zip(self.env_tops.chunks_mut(shard_size))
+                .zip(self.scratch.iter_mut())
+                .enumerate()
+                .map(|(i, ((sessions, tops), scratch))| (i * shard_size, sessions, tops, scratch))
+                .collect();
             Self::in_pool(&self.pool, || {
-                work.into_par_iter()
-                    .for_each(|(offset, shard, tops, scratch)| {
-                        with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let Some(observation) = &feedback[offset + i] else {
-                                    if wants_tops {
-                                        tops[i] = None;
-                                    }
-                                    continue;
-                                };
-                                session.observe(observation);
-                                if shares_feedback
-                                    && env_view
-                                        .shared_feedback_into(offset + i, &mut scratch.shared)
-                                {
-                                    session
-                                        .policy
-                                        .observe_shared(&scratch.shared, &mut session.rng);
-                                }
-                                if wants_tops {
-                                    // Bounded top-1 read: O(K) with no full
-                                    // listing write-out. Ties resolve to the
-                                    // later-listed arm, exactly as the
-                                    // full-listing `max_by` scan this
-                                    // replaces (see
-                                    // `Policy::top_probabilities_into`).
-                                    session
-                                        .policy
-                                        .top_probabilities_into(1, &mut scratch.probabilities);
-                                    tops[i] = scratch.probabilities.first().copied();
-                                }
-                            }
-                        });
-                    });
+                work.into_par_iter().for_each(|shard| {
+                    observe_shard(env_view, feedback, wants_tops, shares_feedback, shard);
+                });
             });
         }
         let tops: &[Option<(NetworkId, f64)>] = if wants_tops { &self.env_tops } else { &[] };
@@ -1642,19 +1343,19 @@ impl FleetEngine {
     /// micro-batch through the *same* four-phase loop as
     /// [`step_env`](Self::step_env): `begin_slot(t)` (partitioned when the
     /// world advertises partitions), cohort choose (sharded over the worker
-    /// pool, monomorphized lane dispatch, per-session RNG streams), joint
-    /// feedback over the full-length choice buffer (non-cohort sessions are
-    /// `None`, exactly like inactive sessions), cohort observe and
-    /// `end_slot`. Each cohort session is then rescheduled at its
-    /// [`next_wake`](Environment::next_wake). At an env-event-only
-    /// timestamp, only `begin_slot(t)` runs — scheduled state advances
-    /// (event cursors!) are applied, never skipped — and no session decides.
+    /// pool, per-session RNG streams), joint feedback over the full-length
+    /// choice buffer (non-cohort sessions are `None`, exactly like inactive
+    /// sessions), cohort observe and `end_slot`. Each cohort session is then
+    /// rescheduled at its [`next_wake`](Environment::next_wake). At an
+    /// env-event-only timestamp, only `begin_slot(t)` runs — scheduled state
+    /// advances (event cursors!) are applied, never skipped — and no session
+    /// decides.
     ///
     /// **Correctness anchor:** with every session at the default uniform
     /// cadence 1, the cohort is always the whole fleet and this path is
     /// **bit-identical** to [`step_env`](Self::step_env) — same choices,
     /// same RNG streams, same environment state — at any thread count and
-    /// shard size, lanes and partitioning on or off.
+    /// shard size, with partitioning on or off.
     ///
     /// As a side effect the wake-to-decision latency of every cohort
     /// decision (wall-clock from cohort start to the session's choice, host
@@ -1755,55 +1456,31 @@ impl FleetEngine {
         let cohort_shard_count;
         {
             let env_view: &dyn Environment = env;
-            let shards = carve_cohort(&mut self.segments, &self.cohort_runs, shard_size);
-            cohort_shard_count = shards.len();
+            let runs = &self.cohort_runs;
+            let sessions = carve_cohort(&mut self.sessions, runs, shard_size);
+            cohort_shard_count = sessions.len();
             if self.latency_shards.len() < cohort_shard_count {
                 self.latency_shards.resize_with(cohort_shard_count, || {
                     Histogram::new(LATENCY_MIN_EXP, LATENCY_BUCKETS)
                 });
             }
-            let mut work: Vec<EventChooseShard<'_>> = Vec::with_capacity(cohort_shard_count);
-            let mut choices = self.env_choices.as_mut_slice();
-            let mut last = self.last.as_mut_slice();
-            let mut latency = self.latency_shards.iter_mut();
-            let mut consumed = 0usize;
-            for (offset, shard) in shards {
-                let len = shard.len();
-                let (_, rest) = choices.split_at_mut(offset - consumed);
-                let (shard_choices, rest) = rest.split_at_mut(len);
-                choices = rest;
-                let (_, rest) = last.split_at_mut(offset - consumed);
-                let (shard_last, rest) = rest.split_at_mut(len);
-                last = rest;
-                consumed = offset + len;
-                let histogram = latency.next().expect("sized above");
-                histogram.clear();
-                work.push((offset, shard, shard_choices, shard_last, histogram));
-            }
+            let work: Vec<_> = sessions
+                .into_iter()
+                .zip(carve_cohort(&mut self.env_choices, runs, shard_size))
+                .zip(carve_cohort(&mut self.last, runs, shard_size))
+                .zip(self.latency_shards.iter_mut())
+                .map(
+                    |((((offset, sessions), (_, choices)), (_, last)), histogram)| {
+                        histogram.clear();
+                        ((offset, sessions, choices, last), histogram)
+                    },
+                )
+                .collect();
             Self::in_pool(&self.pool, || {
-                work.into_par_iter()
-                    .for_each(|(offset, shard, choices, last, latency)| {
-                        with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let view = env_view.session_view(offset + i, t);
-                                if let Some(networks) = view.networks_changed {
-                                    session
-                                        .policy
-                                        .on_networks_changed(networks, &mut session.rng);
-                                }
-                                choices[i] = if view.active {
-                                    let chosen = session.choose(t);
-                                    last[i] = Some(chosen);
-                                    if record_latency {
-                                        latency.record(cohort_start.elapsed().as_secs_f64());
-                                    }
-                                    Some(chosen)
-                                } else {
-                                    None
-                                };
-                            }
-                        });
-                    });
+                work.into_par_iter().for_each(|(shard, histogram)| {
+                    let latency = record_latency.then_some((histogram, cohort_start));
+                    choose_shard(env_view, t, shard, latency);
+                });
             });
         }
         // Merge per-shard latency in shard order (host timing — outside all
@@ -1856,53 +1533,17 @@ impl FleetEngine {
         {
             let env_view: &dyn Environment = env;
             let feedback = &self.env_feedback;
-            let shards = carve_cohort(&mut self.segments, &self.cohort_runs, shard_size);
-            let mut work: Vec<ObserveShard<'_>> = Vec::with_capacity(shards.len());
-            let mut tops = self.env_tops.as_mut_slice();
-            let mut scratch = self.scratch.iter_mut();
-            let mut consumed = 0usize;
-            for (offset, shard) in shards {
-                let len = shard.len();
-                let (_, rest) = tops.split_at_mut(offset - consumed);
-                let (shard_tops, rest) = rest.split_at_mut(len);
-                tops = rest;
-                consumed = offset + len;
-                work.push((
-                    offset,
-                    shard,
-                    shard_tops,
-                    scratch.next().expect("sized above"),
-                ));
-            }
+            let runs = &self.cohort_runs;
+            let work: Vec<ObserveShard<'_>> = carve_cohort(&mut self.sessions, runs, shard_size)
+                .into_iter()
+                .zip(carve_cohort(&mut self.env_tops, runs, shard_size))
+                .zip(self.scratch.iter_mut())
+                .map(|(((offset, sessions), (_, tops)), scratch)| (offset, sessions, tops, scratch))
+                .collect();
             Self::in_pool(&self.pool, || {
-                work.into_par_iter()
-                    .for_each(|(offset, shard, tops, scratch)| {
-                        with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let Some(observation) = &feedback[offset + i] else {
-                                    if wants_tops {
-                                        tops[i] = None;
-                                    }
-                                    continue;
-                                };
-                                session.observe(observation);
-                                if shares_feedback
-                                    && env_view
-                                        .shared_feedback_into(offset + i, &mut scratch.shared)
-                                {
-                                    session
-                                        .policy
-                                        .observe_shared(&scratch.shared, &mut session.rng);
-                                }
-                                if wants_tops {
-                                    session
-                                        .policy
-                                        .top_probabilities_into(1, &mut scratch.probabilities);
-                                    tops[i] = scratch.probabilities.first().copied();
-                                }
-                            }
-                        });
-                    });
+                work.into_par_iter().for_each(|shard| {
+                    observe_shard(env_view, feedback, wants_tops, shares_feedback, shard);
+                });
             });
         }
         let tops: &[Option<(NetworkId, f64)>] = if wants_tops { &self.env_tops } else { &[] };
@@ -2004,19 +1645,14 @@ impl FleetEngine {
     /// dynamism keep their state (see [`Policy::on_networks_changed`]).
     pub fn networks_changed(&mut self, available: &[NetworkId]) {
         let shard_size = self.config.shard_size.max(1);
-        let mut work: Vec<ShardSessions<'_>> = Vec::new();
-        for segment in &mut self.segments {
-            work.extend(segment.shards(shard_size));
-        }
+        let work: Vec<_> = self.sessions.chunks_mut(shard_size).collect();
         Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|shard| {
-                with_lane!(shard, |sessions| {
-                    for session in sessions {
-                        session
-                            .policy
-                            .on_networks_changed(available, &mut session.rng);
-                    }
-                });
+            work.into_par_iter().for_each(|sessions| {
+                for session in sessions {
+                    session
+                        .policy
+                        .on_networks_changed(available, &mut session.rng);
+                }
             });
         });
     }
@@ -2033,37 +1669,13 @@ impl FleetEngine {
     /// inspection (name, stats, probabilities).
     #[must_use]
     pub fn policy(&self, index: usize) -> Option<&dyn Policy> {
-        let mut index = index;
-        for segment in &self.segments {
-            let n = segment.len();
-            if index < n {
-                return Some(match segment {
-                    LaneSegment::Exp3(lane) => &lane[index].policy,
-                    LaneSegment::Smart(lane) => &lane[index].policy,
-                    LaneSegment::Boxed(lane) => &*lane[index].policy,
-                });
-            }
-            index -= n;
-        }
-        None
+        Some(&self.sessions.get(index)?.policy)
     }
 
     /// The policy kind of session `index` (in session order).
     #[must_use]
     pub fn kind(&self, index: usize) -> Option<PolicyKind> {
-        let mut index = index;
-        for segment in &self.segments {
-            let n = segment.len();
-            if index < n {
-                return Some(match segment {
-                    LaneSegment::Exp3(lane) => lane[index].kind,
-                    LaneSegment::Smart(lane) => lane[index].kind,
-                    LaneSegment::Boxed(lane) => lane[index].kind,
-                });
-            }
-            index -= n;
-        }
-        None
+        Some(self.sessions.get(index)?.kind)
     }
 
     /// Fleet-wide cumulative sampler counters (alias-table rebuilds and
@@ -2073,11 +1685,11 @@ impl FleetEngine {
     #[must_use]
     pub fn sampler_counters(&self) -> SamplerCounters {
         let mut totals = SamplerCounters::default();
-        for_each_lane_session!(&self.segments, |session| {
+        for session in &self.sessions {
             let stats = session.policy.stats();
             totals.rebuilds += stats.sampler_rebuilds;
             totals.overlay_hits += stats.overlay_hits;
-        });
+        }
         totals
     }
 
@@ -2090,7 +1702,7 @@ impl FleetEngine {
         let mut per_kind: Vec<(PolicyKind, KindMetrics)> = Vec::new();
         let mut switches = 0u64;
         let mut resets = 0u64;
-        for_each_lane_session!(&self.segments, |session| {
+        for session in &self.sessions {
             let stats = session.policy.stats();
             switches += stats.switches;
             resets += stats.resets;
@@ -2112,7 +1724,7 @@ impl FleetEngine {
             entry.policy.sampler_rebuilds += stats.sampler_rebuilds;
             entry.policy.overlay_hits += stats.overlay_hits;
             entry.gains.merge(&session.gains);
-        });
+        }
         per_kind.sort_by_key(|(kind, _)| PolicyKind::all().iter().position(|k| k == kind));
         FleetMetrics {
             sessions: self.len(),
@@ -2132,29 +1744,22 @@ impl FleetEngine {
     /// centralized oracle (its state lives in the shared coordinator).
     pub fn snapshot(&self) -> Result<FleetSnapshot, SnapshotError> {
         let mut sessions = Vec::with_capacity(self.len());
-        let mut failed: Option<SnapshotError> = None;
-        for_each_lane_session!(&self.segments, |session| {
-            if failed.is_none() {
-                match session.policy.state() {
-                    Some(policy) => sessions.push(SessionSnapshot {
-                        id: session.id.0,
-                        kind: session.kind,
-                        policy,
-                        rng: session.rng.state(),
-                        gains: session.gains.clone(),
-                        last_choice: session.last_choice,
-                    }),
-                    None => {
-                        failed = Some(SnapshotError::UnsupportedPolicy {
-                            session: session.id,
-                            kind: session.kind,
-                        });
-                    }
-                }
-            }
-        });
-        if let Some(error) = failed {
-            return Err(error);
+        for session in &self.sessions {
+            let policy = session
+                .policy
+                .state()
+                .ok_or(SnapshotError::UnsupportedPolicy {
+                    session: session.id,
+                    kind: session.kind,
+                })?;
+            sessions.push(SessionSnapshot {
+                id: session.id.0,
+                kind: session.kind,
+                policy,
+                rng: session.rng.state(),
+                gains: session.gains.clone(),
+                last_choice: session.last_choice,
+            });
         }
         let wake_queue = if self.wakes_primed {
             let mut pending: Vec<WakeEntry> = self
@@ -2221,6 +1826,7 @@ impl FleetEngine {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
+        check_wake_queue(&snapshot)?;
         let state = snapshot.environment.as_deref().ok_or_else(|| {
             SnapshotError::Environment("snapshot carries no environment state".to_string())
         })?;
@@ -2230,56 +1836,34 @@ impl FleetEngine {
     }
 
     /// Restores a fleet from a snapshot. The restored fleet continues
-    /// bit-identically to the fleet the snapshot was taken from.
-    ///
-    /// With [`FleetConfig::fleet_lanes`] recorded as on, EXP3-family policy
-    /// states are routed back into the monomorphized lanes; otherwise (and
-    /// for every other state) they are boxed onto the fallback lane. Either
-    /// way the restored sessions hold the same states and RNG streams, so
-    /// the routing never changes the trajectory.
+    /// bit-identically to the fleet the snapshot was taken from. EXP3-family
+    /// policy states are restored inline and every other state boxed, as
+    /// [`add_fleet`](Self::add_fleet) stores freshly built policies.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
-    /// incompatible engine version.
+    /// incompatible engine version, and [`SnapshotError::Malformed`] when
+    /// the wake queue names a session twice or a session the snapshot does
+    /// not hold.
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
-        let lanes = snapshot.config.fleet_lanes;
+        check_wake_queue(&snapshot)?;
         let mut engine = FleetEngine::new(snapshot.config);
         engine.slot = snapshot.slot;
         engine.decisions = snapshot.decisions;
         for s in snapshot.sessions {
-            let id = SessionId(s.id);
-            let rng = StdRng::from_state(s.rng);
             engine.last.push(s.last_choice);
-            match s.policy {
-                PolicyState::Exp3(policy) if lanes => engine.append_exp3(LaneSession {
-                    id,
-                    kind: s.kind,
-                    policy: *policy,
-                    rng,
-                    gains: s.gains,
-                    last_choice: s.last_choice,
-                }),
-                PolicyState::SmartExp3(policy) if lanes => engine.append_smart(LaneSession {
-                    id,
-                    kind: s.kind,
-                    policy: *policy,
-                    rng,
-                    gains: s.gains,
-                    last_choice: s.last_choice,
-                }),
-                other => engine.append_boxed(LaneSession {
-                    id,
-                    kind: s.kind,
-                    policy: other.into_policy(),
-                    rng,
-                    gains: s.gains,
-                    last_choice: s.last_choice,
-                }),
-            }
+            engine.sessions.push(Session {
+                id: SessionId(s.id),
+                kind: s.kind,
+                policy: s.policy.into(),
+                rng: StdRng::from_state(s.rng),
+                gains: s.gains,
+                last_choice: s.last_choice,
+            });
         }
         engine.next_id = snapshot.next_id;
         if let Some(pending) = snapshot.wake_queue {
@@ -2514,10 +2098,9 @@ mod tests {
         // Previous-release texts (version 2 lacks the `environment` field,
         // version 3 lacks the cooperative-feedback counters in its policy
         // states, version 4 lacks the partitioned-feedback config switch,
-        // version 5 lacks the per-policy sampler strategy, version 6 lacks
-        // the fleet-lanes config switch, version 7 lacks the event-engine
-        // wake queue, version 8 lacks the alias-sampler state) must be
-        // diagnosed as unsupported versions, not malformed.
+        // version 5 lacks the per-policy sampler strategy, versions 6 and 7
+        // lack the event-engine wake queue, version 8 lacks the alias-sampler
+        // state) must be diagnosed as unsupported versions, not malformed.
         for version in [2u32, 3, 4, 5, 6, 7, 8] {
             match FleetEngine::from_json(&format!("{{\"version\":{version},\"sessions\":[]}}")) {
                 Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
@@ -2587,28 +2170,122 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_fleets_match_boxed_fleets_exactly() {
-        // The in-crate smoke version of the lane/boxed equivalence property
-        // (the full churn + snapshot matrix lives in tests/lanes.rs): same
-        // seed, lanes on vs off, identical trajectory and metrics.
-        let lanes = build_fleet(Some(2), 16, 60);
-        let mut boxed = FleetEngine::new(lanes.config().clone().with_fleet_lanes(false));
+    /// Adds one wave of interleaved EXP3-family and baseline sessions to
+    /// both fleets: through `add_fleet` (EXP3 family stored inline) into
+    /// `inline`, and as boxed `build_fleet` policies through `add_session`
+    /// into `boxed`.
+    fn add_mixed_wave(inline: &mut FleetEngine, boxed: &mut FleetEngine, scale: usize) {
         let mut factory = PolicyFactory::new(rates()).unwrap();
-        boxed
-            .add_fleet(&mut factory, PolicyKind::SmartExp3, 30)
-            .unwrap();
-        boxed.add_fleet(&mut factory, PolicyKind::Exp3, 15).unwrap();
-        boxed
-            .add_fleet(&mut factory, PolicyKind::Greedy, 15)
-            .unwrap();
-        let mut lanes = lanes;
-        for _ in 0..25 {
-            lanes.step_with(feedback);
-            boxed.step_with(feedback);
-            assert_eq!(lanes.last_choices(), boxed.last_choices());
+        for (kind, count) in [
+            (PolicyKind::SmartExp3, 5 * scale),
+            (PolicyKind::Exp3, 3 * scale),
+            (PolicyKind::Greedy, 2 * scale),
+            (PolicyKind::BlockExp3, 3 * scale),
+            (PolicyKind::FixedRandom, scale),
+            (PolicyKind::Exp3, 2 * scale),
+        ] {
+            inline.add_fleet(&mut factory, kind, count).unwrap();
+            for policy in factory.build_fleet(kind, count).unwrap() {
+                boxed.add_session(kind, policy);
+            }
         }
-        assert_eq!(lanes.metrics(), boxed.metrics());
+    }
+
+    /// Whether every session stores its policy as `FleetPolicy::Boxed`.
+    fn all_boxed(fleet: &FleetEngine) -> bool {
+        fleet
+            .sessions
+            .iter()
+            .all(|session| matches!(session.policy, FleetPolicy::Boxed(_)))
+    }
+
+    #[test]
+    fn inline_fleets_match_boxed_fleets_exactly() {
+        // Storage is not behaviour: a fleet holding the EXP3 family inline
+        // and one holding every policy boxed, built from the same
+        // interleaved kinds, agree decision-for-decision — through fused and
+        // two-phase stepping, churn, a JSON round trip and event stepping.
+        // Shards of 5 straddle every storage boundary.
+        let config = FleetConfig::with_root_seed(97)
+            .with_threads(2)
+            .with_shard_size(5);
+        let mut inline = FleetEngine::new(config.clone());
+        let mut boxed = FleetEngine::new(config);
+        add_mixed_wave(&mut inline, &mut boxed, 3);
+        assert!(!all_boxed(&inline) && all_boxed(&boxed));
+        let step_both = |inline: &mut FleetEngine, boxed: &mut FleetEngine, label: &str| {
+            inline.step_with(feedback);
+            boxed.step_with(feedback);
+            assert_eq!(inline.last_choices(), boxed.last_choices(), "{label}");
+        };
+        for _ in 0..12 {
+            step_both(&mut inline, &mut boxed, "fused");
+        }
+        // Two-phase stepping with coupled feedback: a session's gain depends
+        // on how many sessions share its network.
+        for _ in 0..8 {
+            let slot = boxed.slot();
+            let choices = inline.choose_all().to_vec();
+            assert_eq!(boxed.choose_all(), choices.as_slice());
+            let observations: Vec<Observation> = choices
+                .iter()
+                .map(|&chosen| {
+                    let load = choices.iter().filter(|&&c| c == chosen).count();
+                    let gain = (0.3 + chosen.0 as f64 / 4.0) / load as f64 * 10.0;
+                    Observation::bandit(slot, chosen, gain * 22.0, gain.min(1.0))
+                })
+                .collect();
+            inline.observe_all(&observations);
+            boxed.observe_all(&observations);
+        }
+
+        // Churn: grow both fleets mid-run, including single boxed adds.
+        add_mixed_wave(&mut inline, &mut boxed, 2);
+        let mut factory = PolicyFactory::new(rates()).unwrap();
+        for _ in 0..3 {
+            inline.add_session(
+                PolicyKind::Greedy,
+                factory.build(PolicyKind::Greedy).unwrap(),
+            );
+            boxed.add_session(
+                PolicyKind::Greedy,
+                factory.build(PolicyKind::Greedy).unwrap(),
+            );
+        }
+        for _ in 0..10 {
+            step_both(&mut inline, &mut boxed, "after churn");
+        }
+
+        // The bytes do not record storage, and a restore stores the EXP3
+        // family inline whatever the original held.
+        let text = inline.to_json().unwrap();
+        assert_eq!(boxed.to_json().unwrap(), text);
+        let mut inline = FleetEngine::from_json(&text).unwrap();
+        let mut boxed = FleetEngine::from_json(&text).unwrap();
+        assert!(!all_boxed(&boxed));
+        for _ in 0..8 {
+            step_both(&mut inline, &mut boxed, "after round trip");
+        }
+
+        // Event stepping carves cohorts across the storage boundaries.
+        let mut inline_env = CadenceEnv {
+            sessions: inline.len(),
+            cadences: vec![1, 2, 3],
+            events: Vec::new(),
+            begin_slots: Vec::new(),
+        };
+        let mut boxed_env = CadenceEnv {
+            sessions: boxed.len(),
+            cadences: vec![1, 2, 3],
+            events: Vec::new(),
+            begin_slots: Vec::new(),
+        };
+        let until = inline.slot() + 9;
+        inline.run_until(&mut inline_env, until);
+        boxed.run_until(&mut boxed_env, until);
+        assert_eq!(inline.last_choices(), boxed.last_choices());
+        assert_eq!(inline.metrics(), boxed.metrics());
+        assert_eq!(inline.to_json().unwrap(), boxed.to_json().unwrap());
     }
 
     /// Deterministic world for event-engine tests: every session is always
@@ -2690,7 +2367,7 @@ mod tests {
     #[test]
     fn event_stepping_is_bit_identical_to_sync_at_uniform_cadence() {
         // The in-crate smoke version of the correctness anchor (the full
-        // world × threads × lanes × partitioning matrix lives in
+        // world × threads × partitioning matrix lives in
         // crates/env/tests): uniform cadence 1 makes every cohort the whole
         // fleet, so step_events must reproduce step_env bit-for-bit.
         for threads in [Some(1), Some(2)] {

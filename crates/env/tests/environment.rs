@@ -40,7 +40,6 @@ fn scenario_fingerprint(scenario: &Scenario) -> String {
     snapshot.config.threads = None;
     snapshot.config.shard_size = 0;
     snapshot.config.partitioned_feedback = true;
-    snapshot.config.fleet_lanes = true;
     snapshot.wake_queue = None;
     serde_json::to_string(&snapshot).expect("snapshots serialize")
 }
@@ -126,21 +125,6 @@ fn every_world_is_bit_identical_at_any_thread_count() {
             expected,
             "{world} diverged with partitioned feedback disabled"
         );
-        // The boxed fallback (fleet lanes disabled) must also match: lane
-        // routing is a storage decision, never a behavioural one.
-        let mut boxed = build_config(
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_fleet_lanes(false),
-            world,
-        );
-        boxed.run(40);
-        assert_eq!(
-            scenario_fingerprint(&boxed),
-            expected,
-            "{world} diverged with fleet lanes disabled"
-        );
     }
 }
 
@@ -150,7 +134,7 @@ fn uniform_cadence_event_stepping_is_bit_identical_to_sync_on_every_world() {
     // the wake protocol, so every session runs the default uniform cadence 1
     // and `step_events` must reproduce `step_env` bit-for-bit — same
     // choices, same RNG streams, same environment state — at 1/2/8 threads,
-    // with partitioned feedback on or off and fleet lanes on or off.
+    // with partitioned feedback on or off.
     for world in [
         "equal_share",
         "dynamic_bandwidth",
@@ -177,10 +161,6 @@ fn uniform_cadence_event_stepping_is_bit_identical_to_sync_on_every_world() {
                 .with_threads(2)
                 .with_shard_size(16)
                 .with_partitioned_feedback(false),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_fleet_lanes(false),
         ];
         for (index, config) in event_configs.into_iter().enumerate() {
             let mut scenario = build_config(config, world);
@@ -240,10 +220,6 @@ fn duty_cycle_trajectories_are_identical_at_any_thread_count() {
             .with_threads(2)
             .with_shard_size(16)
             .with_partitioned_feedback(false),
-        FleetConfig::with_root_seed(42)
-            .with_threads(2)
-            .with_shard_size(16)
-            .with_fleet_lanes(false),
     ] {
         let mut scenario = build_duty_cycle(config);
         scenario.fleet.run_until(scenario.environment.as_mut(), 40);
@@ -310,8 +286,8 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
     // The tentpole determinism anchor: overlay patches, dirty-mass rebuild
     // triggers and the sampler counters are all structural (driven by the
     // per-session update stream), so alias runs must be bit-identical at any
-    // thread count, with partitioned feedback on or off and fleet lanes on
-    // or off — on the sync path and the event-driven path alike.
+    // thread count, with partitioned feedback on or off — on the sync path
+    // and the event-driven path alike.
     for world in ["dense_urban", "duty_cycle", "dense_duty_cycle"] {
         let mut reference = build_alias_world(
             FleetConfig::with_root_seed(42)
@@ -335,10 +311,6 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
                 .with_threads(2)
                 .with_shard_size(16)
                 .with_partitioned_feedback(false),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_fleet_lanes(false),
         ]
         .into_iter()
         .enumerate()
@@ -505,27 +477,12 @@ fn mid_scenario_snapshots_restore_bit_identically() {
 
         let mut resumed = build(8, world);
         resumed.fleet =
-            FleetEngine::from_snapshot_env(snapshot.clone(), resumed.environment.as_mut()).unwrap();
+            FleetEngine::from_snapshot_env(snapshot, resumed.environment.as_mut()).unwrap();
         resumed.run(25);
         assert_eq!(
             scenario_fingerprint(&resumed),
             expected,
             "{world} diverged after snapshot/restore"
-        );
-
-        // Crossed restore: a snapshot taken with lanes on restores into a
-        // boxed-only engine (and continues bit-identically) when the restored
-        // config disables lanes — checkpoints are portable across the toggle.
-        let mut crossed_snapshot = snapshot;
-        crossed_snapshot.config.fleet_lanes = false;
-        let mut crossed = build(2, world);
-        crossed.fleet =
-            FleetEngine::from_snapshot_env(crossed_snapshot, crossed.environment.as_mut()).unwrap();
-        crossed.run(25);
-        assert_eq!(
-            scenario_fingerprint(&crossed),
-            expected,
-            "{world} diverged after a lanes-on -> lanes-off crossed restore"
         );
     }
 }

@@ -5,13 +5,17 @@
 //!   perf-only changes to the JSON layer must not move a single byte. Each
 //!   case pins the text's length and its 64-bit FNV-1a hash, and checks that
 //!   text → `FleetSnapshot` → text gives back the same text.
+//!   Version-9 texts that still carry the removed `fleet_lanes` config key
+//!   load onto the same trajectory.
 //! * Corrupt snapshot text never panics the reader: every truncation and
 //!   2 000 seeded single-byte mutations of a small snapshot return `Ok` or
 //!   `Err`, and nesting far deeper than any snapshot is a typed error rather
 //!   than a stack overflow.
+//! * A wake queue that names a session twice or a session the snapshot does
+//!   not hold is a typed error at restore, before the environment is touched.
 
 use smartexp3_core::{PolicyKind, SamplerStrategy};
-use smartexp3_engine::{FleetConfig, FleetEngine, FleetSnapshot, SnapshotError};
+use smartexp3_engine::{FleetConfig, FleetEngine, FleetSnapshot, SnapshotError, WakeEntry};
 use smartexp3_env::{
     area_mobility, cooperative, dense_duty_cycle, DenseUrbanConfig, DutyCycleConfig, GossipConfig,
     Scenario,
@@ -29,17 +33,19 @@ fn config() -> FleetConfig {
         .with_shard_size(16)
 }
 
+fn mobility_world() -> Scenario {
+    area_mobility(60, PolicyKind::SmartExp3, config(), 6, 12).unwrap()
+}
+
 /// `area_mobility`, stepped slot-synchronously past both walker moves.
 fn mobility() -> Scenario {
-    let mut scenario = area_mobility(60, PolicyKind::SmartExp3, config(), 6, 12).unwrap();
+    let mut scenario = mobility_world();
     scenario.run(20);
     scenario
 }
 
-/// `dense_duty_cycle` on the alias sampler, stepped event-driven so the
-/// snapshot carries a pending wake queue.
-fn dense_duty() -> Scenario {
-    let mut scenario = dense_duty_cycle(
+fn dense_duty_world() -> Scenario {
+    dense_duty_cycle(
         16,
         PolicyKind::Exp3,
         config(),
@@ -55,7 +61,13 @@ fn dense_duty() -> Scenario {
             ..DutyCycleConfig::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// `dense_duty_cycle` on the alias sampler, stepped event-driven so the
+/// snapshot carries a pending wake queue.
+fn dense_duty() -> Scenario {
+    let mut scenario = dense_duty_world();
     scenario.fleet.run_until(scenario.environment.as_mut(), 23);
     scenario
 }
@@ -80,14 +92,14 @@ fn snapshot_text(scenario: &Scenario) -> String {
 fn snapshot_bytes_are_pinned_and_round_trip() {
     type Case = (&'static str, fn() -> Scenario, usize, u64);
     let cases: [Case; 3] = [
-        ("area_mobility", mobility, 138_669, 0x2ee1_6aa5_a893_0c65),
+        ("area_mobility", mobility, 138_650, 0xb085_3391_17c9_b079),
         (
             "dense_duty_cycle",
             dense_duty,
-            31_824,
-            0xf491_d68f_c14f_1398,
+            31_805,
+            0x3597_9317_4b27_7f74,
         ),
-        ("cooperative", gossip, 96_645, 0x58e2_aa6e_a671_6387),
+        ("cooperative", gossip, 96_626, 0x77fe_9c85_b716_0c4b),
     ];
     for (world, build, len, hash) in cases {
         let scenario = build();
@@ -113,6 +125,78 @@ fn snapshot_bytes_are_pinned_and_round_trip() {
             (len, hash),
             "{world}: len, FNV-1a of to_json"
         );
+    }
+}
+
+#[test]
+fn texts_with_the_removed_fleet_lanes_key_still_load() {
+    // Version-9 texts written before the storage switch was removed carry
+    // `,"fleet_lanes":<bool>` after `partitioned_feedback`. The reader skips
+    // unknown keys, so either value restores onto the same trajectory.
+    let mut original = mobility();
+    let text = snapshot_text(&original);
+    let state = original
+        .environment
+        .state()
+        .expect("netsim worlds checkpoint");
+    original.run(10);
+    let expected = original.fleet.to_json().unwrap();
+    let expected_env = original.environment.state();
+    for value in ["true", "false"] {
+        let key = "\"partitioned_feedback\":true";
+        let spliced = text.replacen(key, &format!("{key},\"fleet_lanes\":{value}"), 1);
+        assert_eq!(spliced.len(), text.len() + 15 + value.len());
+        let mut resumed = mobility_world();
+        resumed.fleet = FleetEngine::from_json(&spliced).unwrap();
+        resumed.environment.restore(&state).unwrap();
+        resumed.run(10);
+        assert_eq!(resumed.fleet.to_json().unwrap(), expected, "{value}");
+        assert_eq!(resumed.environment.state(), expected_env, "{value}");
+    }
+}
+
+#[test]
+fn corrupt_wake_queues_fail_typed_at_restore() {
+    let scenario = dense_duty();
+    let snapshot = scenario
+        .fleet
+        .snapshot_env(scenario.environment.as_ref())
+        .unwrap();
+    let queue = snapshot.wake_queue.clone().expect("event-stepped");
+    let mut duplicated = snapshot.clone();
+    duplicated.wake_queue = Some([&queue[..1], &queue[..]].concat());
+    let mut out_of_range = snapshot.clone();
+    out_of_range.wake_queue = Some(
+        queue
+            .iter()
+            .copied()
+            .chain([WakeEntry {
+                wake: queue[queue.len() - 1].wake,
+                session: snapshot.sessions.len() as u64,
+            }])
+            .collect(),
+    );
+    for (what, corrupt) in [("duplicate", duplicated), ("out of range", out_of_range)] {
+        let text = corrupt.to_json().unwrap();
+        for restored in [
+            FleetEngine::from_snapshot(corrupt.clone()),
+            FleetEngine::from_json(&text),
+        ] {
+            match restored {
+                Err(SnapshotError::Malformed(message)) => {
+                    assert!(message.contains("wake queue"), "{what}: {message}");
+                }
+                other => panic!("{what}: expected Malformed, got {:?}", other.map(|_| ())),
+            }
+        }
+        // The check runs before the environment is restored.
+        let mut fresh = dense_duty_world();
+        let before = fresh.environment.state();
+        match FleetEngine::from_snapshot_env(corrupt, fresh.environment.as_mut()) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(fresh.environment.state(), before, "{what}: env touched");
     }
 }
 

@@ -33,13 +33,12 @@
 //! ## Fleet engine
 //!
 //! The engine scales the reproduction from "one simulated area" to
-//! production-style fleets: each session is an independent policy — stored
-//! contiguously in a monomorphized per-policy-type *fleet lane*, or behind
-//! `Box<dyn Policy>` on the fallback lane — with a private RNG stream
-//! derived from a fleet-wide root seed and its session id, so batched steps
-//! parallelise freely and results are identical at any thread count (and
-//! with lanes on or off). See [`engine`] for the lane layout, seeding model
-//! and checkpoint format.
+//! production-style fleets: each session is an independent policy — the
+//! EXP3 family stored inline in one session vector, other policies behind
+//! `Box<dyn Policy>` — with a private RNG stream derived from a fleet-wide
+//! root seed and its session id, so batched steps parallelise freely and
+//! results are identical at any thread count. See [`engine`] for the
+//! session storage, seeding model and checkpoint format.
 //!
 //! ## Quickstart
 //!
