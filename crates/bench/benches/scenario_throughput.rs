@@ -16,10 +16,7 @@ use smartexp3_env::{
 use std::time::Duration;
 
 fn build(world: &str, sessions: usize) -> Scenario {
-    build_config(world, sessions, FleetConfig::with_root_seed(1))
-}
-
-fn build_config(world: &str, sessions: usize, config: FleetConfig) -> Scenario {
+    let config = FleetConfig::with_root_seed(1);
     match world {
         "equal_share" => equal_share(sessions, PolicyKind::SmartExp3, config).unwrap(),
         "dynamic_bandwidth" => {
@@ -81,37 +78,5 @@ fn bench_scenario_worlds(c: &mut Criterion) {
     group.finish();
 }
 
-/// Partitioned vs forced-sequential feedback across the catalog: what
-/// sharding the last sequential phase buys on each world (the two modes are
-/// bit-identical in results, so the delta is pure wall-clock).
-fn bench_feedback_sharding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scenario_feedback");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let sessions = 20_000usize;
-    group.throughput(Throughput::Elements(sessions as u64));
-    for world in ["equal_share", "trace_driven", "cooperative"] {
-        for (mode, partitioned) in [("partitioned", true), ("sequential", false)] {
-            group.bench_with_input(
-                BenchmarkId::new(world, mode),
-                &partitioned,
-                |b, &partitioned| {
-                    let config =
-                        FleetConfig::with_root_seed(1).with_partitioned_feedback(partitioned);
-                    let mut scenario = build_config(world, sessions, config);
-                    b.iter(|| scenario.run(1));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_scenario_sessions,
-    bench_scenario_worlds,
-    bench_feedback_sharding
-);
+criterion_group!(benches, bench_scenario_sessions, bench_scenario_worlds);
 criterion_main!(benches);

@@ -3,11 +3,9 @@
 //! Steps a Smart EXP3 fleet through fused choose+observe slots (the same
 //! workload as the `engine_throughput` Criterion bench) **and** through the
 //! equal-share congestion scenario of the environment layer (the
-//! `scenario_throughput` workload) — the latter three times: partitioned
-//! feedback on, partitioned with streaming telemetry on (the observability
-//! overhead datapoint), and feedback forced sequential — so the repository's
-//! perf trajectory records both the sharded-feedback and the telemetry
-//! axis. One JSON record per configuration is appended
+//! `scenario_throughput` workload) — the latter twice: plain, and with
+//! streaming telemetry on (the observability overhead datapoint). One JSON
+//! record per configuration is appended
 //! to `BENCH_engine.json`; every record names its `world`, `threads` and
 //! `feedback` mode explicitly (older records lack those fields but keep
 //! parsing — readers treat them as additive).
@@ -31,8 +29,7 @@
 //!
 //! `--only SUBSTR` runs only the datapoint groups whose name contains
 //! `SUBSTR` (groups: `closure`, `equal_share`, `equal_share_telemetry`,
-//! `equal_share_sequential`, `cooperative`, `dense_urban`, `duty_cycle`,
-//! `dense_duty_cycle`) — e.g. `--only equal_share` runs everything on that
+//! `cooperative`, `dense_urban`, `duty_cycle`, `dense_duty_cycle`) — e.g. `--only equal_share` runs everything on that
 //! world.
 
 use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind, SamplerStrategy};
@@ -255,12 +252,7 @@ fn ab_dense_duty(slots: usize, threads: usize) -> Vec<(SamplerStrategy, Band, Ba
     let mut scenarios: Vec<Scenario> = strategies
         .iter()
         .map(|&sampler| {
-            // Wake-latency histograms cost one clock read per decision —
-            // comparable to an alias draw itself — so the sampler A/B turns
-            // them off (recorded in the datapoint's `wake_latency` extra).
-            let config = FleetConfig::with_root_seed(2026)
-                .with_threads(threads)
-                .with_wake_latency(false);
+            let config = FleetConfig::with_root_seed(2026).with_threads(threads);
             let dense = DenseUrbanConfig {
                 networks_per_area: DENSE_NETWORKS,
                 sampler,
@@ -395,10 +387,9 @@ fn main() {
         closure = Some(rate);
     }
 
-    // Environment-driven datapoints: the same fleet size stepped through the
-    // equal-share congestion scenario via `run_env`, with the feedback phase
-    // fanned out over the partitions (default) and forced sequential — the
-    // pair records what sharding the last sequential phase buys.
+    // Environment-driven datapoint: the same fleet size stepped through the
+    // equal-share congestion scenario via `run_env` (feedback fans out over
+    // the partitions on a multi-worker pool).
     let mut partitioned_rate = None;
     if wanted("equal_share") {
         let mut partitioned =
@@ -427,23 +418,6 @@ fn main() {
             rate,
         ));
         streaming_rate = Some(rate);
-    }
-    let mut sequential_rate = None;
-    if wanted("equal_share_sequential") {
-        let mut sequential = equal_share(
-            sessions,
-            PolicyKind::SmartExp3,
-            config.clone().with_partitioned_feedback(false),
-        )
-        .expect("valid scenario");
-        let rate = measure_scenario(&mut sequential, slots);
-        records.push(smart_record(
-            "scenario_throughput/equal_share",
-            "equal_share",
-            "sequential",
-            rate,
-        ));
-        sequential_rate = Some(rate);
     }
 
     // Cooperative datapoint: the same world with the Co-Bandit gossip layer
@@ -581,7 +555,7 @@ fn main() {
                      \"ab_runs\":{AB_RUNS},\
                      \"sampling_decisions_per_sec\":{:.0},\
                      \"sampling_band_min\":{:.0},\"sampling_band_max\":{:.0},\
-                     \"wake_latency\":\"off\",\"host_cores\":{auto_threads}",
+                     \"host_cores\":{auto_threads}",
                     sampling.median, sampling.min, sampling.max
                 ),
             });
@@ -631,28 +605,17 @@ fn main() {
         eprintln!("error: cannot write {out}: {error}");
         std::process::exit(1);
     }
-    if let (
-        Some(closure),
-        Some(partitioned_rate),
-        Some(streaming_rate),
-        Some(sequential_rate),
-        Some(coop_rate),
-    ) = (
-        closure,
-        partitioned_rate,
-        streaming_rate,
-        sequential_rate,
-        coop_rate,
-    ) {
+    if let (Some(closure), Some(partitioned_rate), Some(streaming_rate), Some(coop_rate)) =
+        (closure, partitioned_rate, streaming_rate, coop_rate)
+    {
         eprintln!(
-            "closure {:.2}M, scenario {:.2}M (telemetry {:.2}M = {:+.1}%, sequential feedback \
-             {:.2}M), cooperative {:.2}M decisions/sec over {sessions} sessions x {slots} slots, \
-             {threads} threads -> appended to {out}",
+            "closure {:.2}M, scenario {:.2}M (telemetry {:.2}M = {:+.1}%), cooperative {:.2}M \
+             decisions/sec over {sessions} sessions x {slots} slots, {threads} threads -> \
+             appended to {out}",
             closure / 1e6,
             partitioned_rate / 1e6,
             streaming_rate / 1e6,
             (streaming_rate / partitioned_rate - 1.0) * 100.0,
-            sequential_rate / 1e6,
             coop_rate / 1e6
         );
     } else {

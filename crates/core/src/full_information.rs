@@ -70,6 +70,11 @@ impl FullInformation {
             stats: PolicyStats::default(),
         })
     }
+
+    /// Read access to the weight table (for restore checks).
+    pub(crate) fn weights(&self) -> &WeightTable {
+        &self.weights
+    }
 }
 
 impl Policy for FullInformation {

@@ -83,6 +83,11 @@ pub struct SmartExp3 {
 }
 
 impl SmartExp3 {
+    /// Read access to the weight table (for restore checks).
+    pub(crate) fn weights(&self) -> &WeightTable {
+        &self.weights
+    }
+
     /// Creates a Smart EXP3 policy over `networks`.
     ///
     /// # Errors

@@ -55,6 +55,25 @@ impl PolicyState {
         }
     }
 
+    /// Checks the invariants a restored policy relies on without
+    /// re-checking them: its weight table's index lists exactly its arms by
+    /// position, and its weight vectors hold one entry per arm. States
+    /// captured by [`Policy::state`] always pass; a state parsed from a
+    /// corrupted checkpoint gets a typed refusal here instead of a panic
+    /// slots later.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            PolicyState::Exp3(policy) => policy.weights().validate(),
+            PolicyState::SmartExp3(policy) => policy.weights().validate(),
+            PolicyState::FullInformation(policy) => policy.weights().validate(),
+            PolicyState::Greedy(_) | PolicyState::FixedRandom(_) => Ok(()),
+        }
+    }
+
     /// The [`PolicyKind`] family this state belongs to.
     ///
     /// Smart EXP3 feature ablations cannot be distinguished from the state

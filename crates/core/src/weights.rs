@@ -283,6 +283,43 @@ impl WeightTable {
         &self.arms
     }
 
+    /// Checks the structural invariants every lookup and update relies on:
+    /// `index` is exactly the arm-sorted `(arm, position)` listing of the
+    /// tracked arms, and the log-weights and cached exponentials hold one
+    /// entry per arm. Tables built and updated through this API always pass;
+    /// a table deserialized from a corrupted checkpoint may not, and the
+    /// error names the first violated invariant.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violation.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let k = self.arms.len();
+        if self.log_weights.len() != k || self.exp_weights.len() != k {
+            return Err(format!(
+                "weight table over {k} arms holds {} log-weights and {} cached exponentials",
+                self.log_weights.len(),
+                self.exp_weights.len()
+            ));
+        }
+        // k strictly ascending arms, each naming a position that holds that
+        // arm, is a bijection onto the positions — so this also rejects
+        // duplicate arms.
+        let listed = self.index.len() == k
+            && self.index.windows(2).all(|pair| pair[0].0 < pair[1].0)
+            && self
+                .index
+                .iter()
+                .all(|&(arm, position)| self.arms.get(position) == Some(&arm));
+        if listed {
+            Ok(())
+        } else {
+            Err(format!(
+                "weight table index does not list its {k} arms by position"
+            ))
+        }
+    }
+
     /// Binary-search result for `arm` in the sorted index: `Ok` holds the
     /// index entry, `Err` the insertion point.
     fn index_slot(&self, arm: NetworkId) -> Result<usize, usize> {
@@ -931,6 +968,27 @@ mod tests {
         let probs = table.probabilities(0.1);
         for p in probs {
             assert!((p - 0.25).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn validate_accepts_live_tables_and_rejects_broken_invariants() {
+        let mut table = WeightTable::uniform(&[NetworkId(5), NetworkId(2), NetworkId(9)]);
+        table.multiplicative_update(NetworkId(2), 0.3, 4.0);
+        table.remove_arm(NetworkId(5));
+        table.add_arm(NetworkId(7));
+        assert_eq!(table.validate(), Ok(()));
+        let corruptions: [fn(&mut WeightTable); 5] = [
+            |t| t.index[0].1 = t.arms.len(),
+            |t| t.index.swap(0, 1),
+            |t| t.index[1].0 = t.index[0].0,
+            |t| t.log_weights.truncate(1),
+            |t| t.exp_weights.push(1.0),
+        ];
+        for (case, corrupt) in corruptions.into_iter().enumerate() {
+            let mut broken = table.clone();
+            corrupt(&mut broken);
+            assert!(broken.validate().is_err(), "corruption {case} passed");
         }
     }
 

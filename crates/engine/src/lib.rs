@@ -41,6 +41,14 @@
 //! processed in shards of [`FleetConfig::shard_size`] distributed over rayon
 //! workers.
 //!
+//! Worlds behind an [`Environment`] are stepped by one cohort stepper with
+//! two entry points: [`FleetEngine::step_env`] steps the whole fleet as one
+//! cohort per slot, and [`FleetEngine::step_events`] steps only the
+//! sessions a wake queue says are due. Both run the same four phases
+//! (`begin_slot`, choose, feedback, observe + `end_slot`), pick the
+//! partitioned feedback path from the worker count and the environment
+//! alone, and stamp wake-to-decision latency once per choose shard.
+//!
 //! ## Checkpointing
 //!
 //! [`FleetEngine::snapshot`] captures every session (policy learning state
@@ -118,26 +126,10 @@ pub struct FleetConfig {
     /// independent of this value.
     pub shard_size: usize,
     /// Worker threads for batched stepping. `None` uses the machine's
-    /// available parallelism; `Some(1)` forces sequential stepping. Results
+    /// available parallelism; `Some(1)` forces sequential stepping (and the
+    /// sequential feedback fallback, see [`FleetEngine::step_env`]). Results
     /// are independent of this value.
     pub threads: Option<usize>,
-    /// Whether [`FleetEngine::step_env`] fans the feedback phase out over
-    /// the worker pool when the environment advertises feedback partitions
-    /// (the default). `false` forces the sequential
-    /// [`Environment::feedback`] fallback — useful for measuring the
-    /// speedup. On a single-worker pool the engine always takes the
-    /// sequential path (fan-out would be pure dispatch overhead). Results
-    /// are independent of this value by the partition contract.
-    pub partitioned_feedback: bool,
-    /// Whether the event-driven path records per-decision wake-to-decision
-    /// latency histograms (the default). The measurement costs one
-    /// monotonic-clock read per decision — on par with an alias-table draw
-    /// itself — so throughput benches that A/B samplers turn it off.
-    /// `false` makes [`FleetEngine::last_wake_latency`] return `None` and
-    /// cohort telemetry records carry no latency percentiles. Latency is
-    /// host timing, outside all determinism contracts: results are
-    /// independent of this value.
-    pub wake_latency: bool,
 }
 
 impl Default for FleetConfig {
@@ -146,8 +138,6 @@ impl Default for FleetConfig {
             root_seed: 0,
             shard_size: 1024,
             threads: None,
-            partitioned_feedback: true,
-            wake_latency: true,
         }
     }
 }
@@ -173,22 +163,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size.max(1);
-        self
-    }
-
-    /// Enables or disables the partitioned feedback phase (on by default).
-    #[must_use]
-    pub fn with_partitioned_feedback(mut self, partitioned: bool) -> Self {
-        self.partitioned_feedback = partitioned;
-        self
-    }
-
-    /// Enables or disables per-decision wake-latency histograms on the
-    /// event-driven path (on by default); see
-    /// [`FleetConfig::wake_latency`].
-    #[must_use]
-    pub fn with_wake_latency(mut self, wake_latency: bool) -> Self {
-        self.wake_latency = wake_latency;
         self
     }
 
@@ -427,7 +401,7 @@ fn version_hint(version: u32) -> Option<&'static str> {
              re-run under SNAPSHOT_VERSION 3 or regenerate the checkpoint"
         }
         4 => {
-            "version 4 configs predate the partitioned-feedback switch; \
+            "version 4 environment states predate the per-partition RNG streams; \
              re-run under SNAPSHOT_VERSION 4 or regenerate the checkpoint"
         }
         5 => {
@@ -494,10 +468,11 @@ impl std::error::Error for SnapshotError {}
 /// embed their gossip digests and per-area RNG streams in the environment
 /// state.
 ///
-/// Version 5: the engine configuration records the partitioned-feedback
-/// switch ([`FleetConfig::partitioned_feedback`]), and partitioned
-/// environments embed **one RNG stream per feedback partition** in the
-/// environment state instead of a single stream.
+/// Version 5: partitioned environments embed **one RNG stream per feedback
+/// partition** in the environment state instead of a single stream. The
+/// engine configuration also recorded a partitioned-feedback switch, since
+/// removed (the engine picks the partitioned path from the worker count and
+/// the environment alone; readers skip the key).
 ///
 /// Version 6: EXP3-family policy checkpoints carry the per-policy
 /// `SamplerStrategy` and, for tree-sampled configs, the Fenwick tree over
@@ -522,7 +497,10 @@ impl std::error::Error for SnapshotError {}
 /// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy)'s frozen
 /// Vose table, dirty-arm overlay and the `sampler_rebuilds`/`overlay_hits`
 /// counters ([`PolicyStats`]) — so an alias-sampled fleet restores onto the
-/// exact decision trajectory, counters included.
+/// exact decision trajectory, counters included. The configuration now
+/// holds only `root_seed`, `shard_size` and `threads`: version-9 texts that
+/// still carry the removed `partitioned_feedback`, `fleet_lanes` or
+/// `wake_latency` keys load unchanged, because readers skip unknown keys.
 pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Checkpoint of one session.
@@ -609,24 +587,23 @@ type ObserveShard<'a> = (
     &'a mut SlotScratch,
 );
 
-/// Layout of the wake-to-decision latency histograms: first real bucket at
+/// Layout of the wake-to-decision latency histogram: first real bucket at
 /// `2^-30` s (~1 ns), 34 buckets, so the top bucket opens at 4 s — per-slot
 /// decision latencies land comfortably inside.
 const LATENCY_MIN_EXP: i32 = -30;
-/// Bucket count of the latency histograms (see [`LATENCY_MIN_EXP`]).
+/// Bucket count of the latency histogram (see [`LATENCY_MIN_EXP`]).
 const LATENCY_BUCKETS: usize = 34;
 
 /// Choose phase of one shard at slot `t`: every session absorbs a visibility
 /// change if its [`SessionView`](smartexp3_core::SessionView) reports one
-/// and, when active, decides with its private RNG stream. With `latency`
-/// set, each decision's wall-clock time since the given cohort start is
-/// recorded into the histogram.
+/// and, when active, decides with its private RNG stream. Returns how many
+/// sessions decided.
 fn choose_shard(
     env: &dyn Environment,
     t: SlotIndex,
     (offset, sessions, choices, last): ChooseShard<'_>,
-    mut latency: Option<(&mut Histogram, Instant)>,
-) {
+) -> u64 {
+    let mut decided = 0;
     for (i, session) in sessions.iter_mut().enumerate() {
         let view = env.session_view(offset + i, t);
         if let Some(networks) = view.networks_changed {
@@ -637,14 +614,13 @@ fn choose_shard(
         choices[i] = if view.active {
             let chosen = session.choose(t);
             last[i] = Some(chosen);
-            if let Some((histogram, start)) = &mut latency {
-                histogram.record(start.elapsed().as_secs_f64());
-            }
+            decided += 1;
             Some(chosen)
         } else {
             None
         };
     }
+    decided
 }
 
 /// Observe phase of one shard: every session with feedback ingests its
@@ -685,14 +661,14 @@ fn observe_shard(
     }
 }
 
-/// Carves a wake cohort out of a per-session slice (the session vector or
-/// any buffer aligned with it) into `(global_offset, shard)` work units of at
+/// Carves a cohort out of a per-session slice (the session vector or any
+/// buffer aligned with it) into `(global_offset, shard)` work units of at
 /// most `shard_size` entries, in session order. `runs` are the cohort's
-/// disjoint ascending `[start, end)` index ranges. With a single run
-/// covering every session this is exactly the sharding of the
-/// slot-synchronous path — which is what keeps uniform-cadence event
-/// stepping bit-identical to [`FleetEngine::step_env`] — and carving two
-/// aligned slices with the same runs yields matching shards.
+/// disjoint ascending `[start, end)` index ranges. The single run covering
+/// every session — [`FleetEngine::step_env`]'s cohort — shards exactly like
+/// `chunks_mut(shard_size)`, which is what keeps uniform-cadence event
+/// stepping bit-identical to it; carving two aligned slices with the same
+/// runs yields matching shards.
 fn carve_cohort<'a, T>(
     mut items: &'a mut [T],
     runs: &[(usize, usize)],
@@ -743,6 +719,38 @@ fn check_wake_queue(snapshot: &FleetSnapshot) -> Result<(), SnapshotError> {
         }
     }
     Ok(())
+}
+
+/// Checks everything a restore relies on, before anything is restored: the
+/// format version, session ids `0..n` in session order with `next_id == n`
+/// (sessions are never removed, so any other pairing would let the next
+/// [`add_session`](FleetEngine::add_session) reuse an id and its RNG
+/// stream), every policy state's invariants ([`PolicyState::validate`]) and
+/// the wake queue ([`check_wake_queue`]).
+fn check_snapshot(snapshot: &FleetSnapshot) -> Result<(), SnapshotError> {
+    if snapshot.version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(snapshot.version));
+    }
+    let sessions = snapshot.sessions.len();
+    if snapshot.next_id != sessions as u64 {
+        return Err(SnapshotError::Malformed(format!(
+            "next session id {} in a {sessions}-session fleet",
+            snapshot.next_id
+        )));
+    }
+    for (index, session) in snapshot.sessions.iter().enumerate() {
+        if session.id != index as u64 {
+            return Err(SnapshotError::Malformed(format!(
+                "session {index} carries id {}",
+                session.id
+            )));
+        }
+        session
+            .policy
+            .validate()
+            .map_err(|error| SnapshotError::Malformed(format!("session {index}: {error}")))?;
+    }
+    check_wake_queue(snapshot)
 }
 
 /// The engine-side [`PartitionExecutor`]: runs an environment's feedback
@@ -801,18 +809,19 @@ pub struct FleetEngine {
     /// stepping and fleet growth invalidate the queue; the next event-driven
     /// step re-seeds it from the environment's wake protocol.
     wakes_primed: bool,
-    /// Scratch: the session indices due at the timestamp being processed
-    /// (ascending, as popped from the heap).
-    cohort: Vec<usize>,
-    /// Scratch: the cohort compressed into contiguous `[start, end)` runs.
+    /// Scratch: the cohort being stepped as contiguous ascending
+    /// `[start, end)` session runs — the whole fleet for
+    /// [`step_env`](Self::step_env), the sessions due at the timestamp for
+    /// [`step_events`](Self::step_events).
     cohort_runs: Vec<(usize, usize)>,
-    /// Per-shard wake-to-decision latency histograms of the event path
-    /// (host timing, outside all determinism contracts), merged in shard
-    /// order into `latency_total` after each cohort.
-    latency_shards: Vec<Histogram>,
-    /// Merged latency histogram of the most recent cohort.
+    /// Per-choose-shard `(seconds from cohort start to shard completion,
+    /// decisions)` stamps of the most recent cohort (host timing, outside
+    /// all determinism contracts), folded in shard order into
+    /// `latency_total`.
+    latency_stamps: Vec<(f64, u64)>,
+    /// Wake-to-decision latency histogram of the most recent cohort.
     latency_total: Histogram,
-    /// Latency percentiles of the most recent event-driven cohort.
+    /// Latency percentiles of the most recent cohort.
     last_latency: Option<LatencyStats>,
 }
 
@@ -853,9 +862,8 @@ impl FleetEngine {
             last_timing: None,
             wakes: BinaryHeap::new(),
             wakes_primed: false,
-            cohort: Vec::new(),
             cohort_runs: Vec::new(),
-            latency_shards: Vec::new(),
+            latency_stamps: Vec::new(),
             latency_total: Histogram::new(LATENCY_MIN_EXP, LATENCY_BUCKETS),
             last_latency: None,
         }
@@ -1078,29 +1086,29 @@ impl FleetEngine {
 
     /// Steps the fleet one slot through an [`Environment`] — the unified
     /// path for coupled-feedback worlds (congestion games, bandwidth
-    /// dynamics, mobility, trace replay).
+    /// dynamics, mobility, trace replay). Every session is due: the slot is
+    /// one cohort covering the whole fleet, and the environment's wake
+    /// cadences are ignored on purpose (see [`step_events`](Self::step_events)
+    /// for cadence-driven stepping).
     ///
-    /// One slot runs four phases:
+    /// A cohort runs four phases:
     ///
     /// 1. `env.begin_slot` — environment-state advance. Worlds that
     ///    advertise [`feedback_partitions`](Environment::feedback_partitions)
-    ///    (with [`FleetConfig::partitioned_feedback`] on and more than one
-    ///    worker) get [`Environment::begin_slot_partitioned`] with an
-    ///    executor backed by the worker pool instead — the RNG-free
-    ///    per-session refresh fans out over the same area partitions as
-    ///    feedback, bit-identically;
+    ///    get [`Environment::begin_slot_partitioned`] with an executor
+    ///    backed by the worker pool instead when the pool has more than one
+    ///    worker — the RNG-free per-session refresh fans out over the same
+    ///    area partitions as feedback, bit-identically;
     /// 2. choose — sharded over rayon workers: each session reads its
     ///    [`SessionView`](smartexp3_core::SessionView), absorbs a visibility
     ///    change if one is reported, and (when active) picks a network with
     ///    its private RNG stream;
-    /// 3. feedback — joint-choice → per-session feedback. When the
-    ///    environment advertises
-    ///    [`feedback_partitions`](Environment::feedback_partitions) (and
-    ///    [`FleetConfig::partitioned_feedback`] is on), the engine hands the
-    ///    environment a [`PartitionExecutor`] backed by the same worker
-    ///    pool, and the environment fans one job per independent area out
-    ///    over it; otherwise the sequential [`Environment::feedback`]
-    ///    fallback runs on the calling thread;
+    /// 3. feedback — joint-choice → per-session feedback. Partitioned worlds
+    ///    on a multi-worker pool get a [`PartitionExecutor`] backed by the
+    ///    same pool and fan one job per independent area out over it;
+    ///    otherwise — including every world on a single-worker pool, where
+    ///    job dispatch is pure overhead — the sequential
+    ///    [`Environment::feedback`] fallback runs on the calling thread;
     /// 4. observe — sharded: every active session ingests its observation
     ///    (and, if the environment asked for top choices, reports its most
     ///    probable network for stable-state recording) before
@@ -1110,12 +1118,18 @@ impl FleetEngine {
     /// environment randomness is drawn from environment-owned streams in
     /// canonical session order (one stream per feedback partition on the
     /// partitioned path), the trajectory is **bit-identical at any thread
-    /// count and shard size — with partitioned feedback on or off**.
+    /// count and shard size** — so the sequential feedback fallback a
+    /// single-worker pool takes reproduces the partitioned path exactly.
     /// Steady-state stepping allocates nothing per session: joint-choice,
     /// feedback and top-choice buffers persist across slots (a small
     /// O(shard-count) pairing vector is rebuilt per phase, as in
     /// [`step_with`](Self::step_with), and the partitioned feedback path
     /// boxes one job per partition per slot).
+    ///
+    /// As a side effect the choose phase stamps each shard's completion
+    /// time once and attributes it to the shard's decisions; read the
+    /// resulting wake-to-decision percentiles via
+    /// [`last_wake_latency`](Self::last_wake_latency) or a telemetry sink.
     ///
     /// # Panics
     ///
@@ -1128,9 +1142,9 @@ impl FleetEngine {
     /// [`step_env`](Self::step_env) with streaming telemetry: after the slot
     /// completes, one [`TelemetryRecord`] — the environment's
     /// [`telemetry`](Environment::telemetry) metrics (empty if the world has
-    /// none enabled) plus this slot's [`SlotTiming`] — is delivered to
-    /// `sink`, if one is given. The sink is an observer: stepping with or
-    /// without one is bit-identical.
+    /// none enabled), this slot's [`SlotTiming`] and its wake-to-decision
+    /// [`LatencyStats`] — is delivered to `sink`, if one is given. The sink
+    /// is an observer: stepping with or without one is bit-identical.
     ///
     /// # Panics
     ///
@@ -1141,6 +1155,15 @@ impl FleetEngine {
         env: &mut dyn Environment,
         sink: Option<&mut dyn TelemetrySink>,
     ) {
+        self.assert_describes_fleet(env);
+        self.cohort_runs.clear();
+        self.cohort_runs.push((0, self.len()));
+        self.step_cohort(env, self.slot, sink);
+        self.wakes_primed = false;
+    }
+
+    /// Panics unless `env` describes exactly this fleet's sessions.
+    fn assert_describes_fleet(&self, env: &dyn Environment) {
         assert_eq!(
             env.sessions(),
             self.len(),
@@ -1148,7 +1171,20 @@ impl FleetEngine {
             env.sessions(),
             self.len()
         );
-        let slot = self.slot;
+    }
+
+    /// Runs the cohort in `cohort_runs` through the four phases at timestamp
+    /// `t` (see [`step_env`](Self::step_env)) and advances the clock past
+    /// `t`. Sessions outside the cohort take part in feedback as absent,
+    /// exactly like inactive sessions. With no runs — an env-event-only
+    /// timestamp — only `begin_slot` runs: nobody decides and no record is
+    /// streamed.
+    fn step_cohort(
+        &mut self,
+        env: &mut dyn Environment,
+        t: SlotIndex,
+        sink: Option<&mut dyn TelemetrySink>,
+    ) {
         let shard_size = self.config.shard_size.max(1);
         let count = self.len();
         let workers = match &self.pool {
@@ -1157,56 +1193,75 @@ impl FleetEngine {
         };
         // Partitioned worlds may fan both the slot-begin refresh (phase 1)
         // and the joint feedback (phase 3) out over the worker pool; the
-        // gate is shared so the two phases always agree.
-        let partitioned =
-            self.config.partitioned_feedback && workers > 1 && env.feedback_partitions().is_some();
+        // gate is shared so the two phases always agree. The two paths are
+        // bit-identical by the partition contract, so this is a wall-clock
+        // decision only.
+        let partitioned = workers > 1 && env.feedback_partitions().is_some();
+
+        // Phase 1: environment-state advance at t — also for an empty
+        // cohort, because scheduled advances (event cursors) are applied by
+        // `begin_slot`, not recomputed from the absolute slot.
         let phase_start = Instant::now();
         if partitioned {
-            let executor = PoolExecutor { pool: &self.pool };
-            env.begin_slot_partitioned(slot, &executor);
+            env.begin_slot_partitioned(t, &PoolExecutor { pool: &self.pool });
         } else {
-            env.begin_slot(slot);
+            env.begin_slot(t);
         }
         let begin_slot_s = phase_start.elapsed().as_secs_f64();
-        let phase_start = Instant::now();
-
-        // Phase 2: choose (parallel).
-        if self.env_choices.len() != count {
-            self.env_choices.resize(count, None);
+        self.slot = t + 1;
+        if self.cohort_runs.is_empty() {
+            return;
         }
+
+        // Phase 2: cohort choose (parallel). The joint-choice buffer is
+        // cleared first so sessions outside the cohort read as absent. Each
+        // shard stamps its completion time once, for all of its decisions.
+        let cohort_start = Instant::now();
+        self.env_choices.clear();
+        self.env_choices.resize(count, None);
         {
             let env_view: &dyn Environment = env;
-            let work: Vec<ChooseShard<'_>> = self
-                .sessions
-                .chunks_mut(shard_size)
-                .zip(self.env_choices.chunks_mut(shard_size))
-                .zip(self.last.chunks_mut(shard_size))
-                .enumerate()
-                .map(|(i, ((sessions, choices), last))| (i * shard_size, sessions, choices, last))
+            let runs = &self.cohort_runs;
+            let sessions = carve_cohort(&mut self.sessions, runs, shard_size);
+            self.latency_stamps.clear();
+            self.latency_stamps.resize(sessions.len(), (0.0, 0));
+            let work: Vec<_> = sessions
+                .into_iter()
+                .zip(carve_cohort(&mut self.env_choices, runs, shard_size))
+                .zip(carve_cohort(&mut self.last, runs, shard_size))
+                .zip(self.latency_stamps.iter_mut())
+                .map(|((((offset, sessions), (_, choices)), (_, last)), stamp)| {
+                    ((offset, sessions, choices, last), stamp)
+                })
                 .collect();
             Self::in_pool(&self.pool, || {
-                work.into_par_iter()
-                    .for_each(|shard| choose_shard(env_view, slot, shard, None));
+                work.into_par_iter().for_each(|(shard, stamp)| {
+                    let decided = choose_shard(env_view, t, shard);
+                    *stamp = (cohort_start.elapsed().as_secs_f64(), decided);
+                });
             });
         }
-        let active = self.env_choices.iter().flatten().count() as u64;
-        let choose_s = phase_start.elapsed().as_secs_f64();
+        // Fold the stamps in shard order (host timing — outside all
+        // determinism contracts, so the order only matters for reproducible
+        // float sums within one process).
+        self.latency_total.clear();
+        let mut active = 0;
+        for &(elapsed_s, decided) in &self.latency_stamps {
+            self.latency_total.record_n(elapsed_s, decided);
+            active += decided;
+        }
+        let latency = LatencyStats::from_histogram(&self.latency_total);
+        self.last_latency = latency;
+        let choose_s = cohort_start.elapsed().as_secs_f64();
         let phase_start = Instant::now();
 
-        // Phase 3: joint feedback. Partitioned worlds fan their independent
-        // areas out over the worker pool; everything else — including any
-        // world on a single-worker pool, where job dispatch is pure
-        // overhead — runs the sequential fallback on this thread. The two
-        // paths are bit-identical by the partition contract, so this is a
-        // wall-clock decision only.
-        if self.env_feedback.len() != count {
-            self.env_feedback.resize(count, None);
-        }
+        // Phase 3: joint feedback over the full-length buffers.
+        self.env_feedback.resize(count, None);
         if partitioned {
             let executor = PoolExecutor { pool: &self.pool };
-            env.feedback_partitioned(slot, &self.env_choices, &mut self.env_feedback, &executor);
+            env.feedback_partitioned(t, &self.env_choices, &mut self.env_feedback, &executor);
         } else {
-            env.feedback(slot, &self.env_choices, &mut self.env_feedback);
+            env.feedback(t, &self.env_choices, &mut self.env_feedback);
         }
         // Structural guard: a session that did not choose must not observe.
         // The feedback buffer persists across slots (so environments can
@@ -1221,26 +1276,27 @@ impl FleetEngine {
         let feedback_s = phase_start.elapsed().as_secs_f64();
         let phase_start = Instant::now();
 
-        // Phase 4: observe (parallel), then the end-of-slot hook. Sessions in
-        // a cooperative environment additionally hear their neighbourhood's
-        // gossip digest (copied into the shard's recycled scratch buffer) and
-        // fold it in via `Policy::observe_shared`.
+        // Phase 4: cohort observe (parallel), then the end-of-slot hook.
+        // Sessions in a cooperative environment additionally hear their
+        // neighbourhood's gossip digest (copied into the shard's recycled
+        // scratch buffer) and fold it in via `Policy::observe_shared`.
         let wants_tops = env.wants_top_choices();
         let shares_feedback = env.shares_feedback();
-        if self.env_tops.len() != count {
-            self.env_tops.resize(count, None);
+        if wants_tops {
+            // Stale tops from earlier cohorts must not leak into end_slot.
+            self.env_tops.clear();
         }
-        self.ensure_scratch(count.div_ceil(shard_size));
+        self.env_tops.resize(count, None);
+        self.ensure_scratch(self.latency_stamps.len());
         {
             let env_view: &dyn Environment = env;
             let feedback = &self.env_feedback;
-            let work: Vec<ObserveShard<'_>> = self
-                .sessions
-                .chunks_mut(shard_size)
-                .zip(self.env_tops.chunks_mut(shard_size))
+            let runs = &self.cohort_runs;
+            let work: Vec<ObserveShard<'_>> = carve_cohort(&mut self.sessions, runs, shard_size)
+                .into_iter()
+                .zip(carve_cohort(&mut self.env_tops, runs, shard_size))
                 .zip(self.scratch.iter_mut())
-                .enumerate()
-                .map(|(i, ((sessions, tops), scratch))| (i * shard_size, sessions, tops, scratch))
+                .map(|(((offset, sessions), (_, tops)), scratch)| (offset, sessions, tops, scratch))
                 .collect();
             Self::in_pool(&self.pool, || {
                 work.into_par_iter().for_each(|shard| {
@@ -1249,7 +1305,7 @@ impl FleetEngine {
             });
         }
         let tops: &[Option<(NetworkId, f64)>] = if wants_tops { &self.env_tops } else { &[] };
-        env.end_slot(slot, &self.env_choices, tops);
+        env.end_slot(t, &self.env_choices, tops);
         let observe_s = phase_start.elapsed().as_secs_f64();
 
         let timing = SlotTiming {
@@ -1261,18 +1317,15 @@ impl FleetEngine {
         self.last_timing = Some(timing);
         if let Some(sink) = sink {
             sink.record(&TelemetryRecord {
-                slot,
+                slot: t,
                 active,
                 metrics: env.telemetry().cloned().unwrap_or_default(),
                 timing,
-                latency: None,
+                latency,
                 sampler: Some(self.sampler_counters()),
             });
         }
-
         self.decisions += active;
-        self.slot += 1;
-        self.wakes_primed = false;
     }
 
     /// Convenience: runs `slots` environment-driven steps.
@@ -1339,31 +1392,25 @@ impl FleetEngine {
     /// processed, or `None` when nothing remains.
     ///
     /// At a wake timestamp `t`, the cohort of sessions due at `t` (drained
-    /// from the deterministic `(wake_time, session)` queue) runs as a
-    /// micro-batch through the *same* four-phase loop as
-    /// [`step_env`](Self::step_env): `begin_slot(t)` (partitioned when the
-    /// world advertises partitions), cohort choose (sharded over the worker
-    /// pool, per-session RNG streams), joint feedback over the full-length
-    /// choice buffer (non-cohort sessions are `None`, exactly like inactive
-    /// sessions), cohort observe and `end_slot`. Each cohort session is then
-    /// rescheduled at its [`next_wake`](Environment::next_wake). At an
-    /// env-event-only timestamp, only `begin_slot(t)` runs — scheduled state
-    /// advances (event cursors!) are applied, never skipped — and no session
+    /// from the deterministic `(wake_time, session)` queue) runs through the
+    /// *same* four-phase cohort step as [`step_env`](Self::step_env) — only
+    /// the joint-choice buffer marks non-cohort sessions absent, exactly
+    /// like inactive sessions. Each cohort session is then rescheduled at
+    /// its [`next_wake`](Environment::next_wake). At an env-event-only
+    /// timestamp, only `begin_slot(t)` runs — scheduled state advances
+    /// (event cursors!) are applied, never skipped — and no session
     /// decides.
     ///
     /// **Correctness anchor:** with every session at the default uniform
     /// cadence 1, the cohort is always the whole fleet and this path is
     /// **bit-identical** to [`step_env`](Self::step_env) — same choices,
     /// same RNG streams, same environment state — at any thread count and
-    /// shard size, with partitioning on or off.
+    /// shard size.
     ///
-    /// As a side effect the wake-to-decision latency of every cohort
-    /// decision (wall-clock from cohort start to the session's choice, host
-    /// timing only) is recorded into a log-bucket histogram; read the
-    /// percentiles via [`last_wake_latency`](Self::last_wake_latency) or a
-    /// telemetry sink ([`step_events_with_sink`](Self::step_events_with_sink)).
-    /// [`FleetConfig::wake_latency`] turns the recording off for
-    /// throughput-critical runs (the clock read costs as much as a draw).
+    /// Wake-to-decision latency (cohort start to the completion of each
+    /// decision's choose shard, host timing only) is read via
+    /// [`last_wake_latency`](Self::last_wake_latency) or a telemetry sink
+    /// ([`step_events_with_sink`](Self::step_events_with_sink)).
     ///
     /// # Panics
     ///
@@ -1389,193 +1436,32 @@ impl FleetEngine {
         env: &mut dyn Environment,
         sink: Option<&mut dyn TelemetrySink>,
     ) -> Option<SlotIndex> {
-        assert_eq!(
-            env.sessions(),
-            self.len(),
-            "environment describes {} sessions, fleet hosts {}",
-            env.sessions(),
-            self.len()
-        );
+        self.assert_describes_fleet(env);
         self.prime_wakes(env);
         let t = self.next_timestamp(env)?;
         debug_assert!(t >= self.slot, "wake queue fell behind the clock");
-        let shard_size = self.config.shard_size.max(1);
-        let count = self.len();
-        let workers = match &self.pool {
-            Some(pool) => pool.current_num_threads(),
-            None => rayon::current_num_threads(),
-        };
-        let partitioned =
-            self.config.partitioned_feedback && workers > 1 && env.feedback_partitions().is_some();
-
-        // Phase 1: environment-state advance at t — also runs for
-        // env-event-only timestamps, because scheduled advances (event
-        // cursors) are applied by `begin_slot`, not recomputed from the
-        // absolute slot.
-        let phase_start = Instant::now();
-        if partitioned {
-            let executor = PoolExecutor { pool: &self.pool };
-            env.begin_slot_partitioned(t, &executor);
-        } else {
-            env.begin_slot(t);
-        }
-        let begin_slot_s = phase_start.elapsed().as_secs_f64();
-
-        // Drain the cohort due at t (ascending session index, by heap order).
-        self.cohort.clear();
+        // Drain the cohort due at t (ascending session index, by heap order)
+        // into contiguous runs; an env-event-only timestamp leaves none.
+        self.cohort_runs.clear();
         while let Some(&Reverse((wake, index))) = self.wakes.peek() {
             if wake != t {
                 break;
             }
             self.wakes.pop();
-            self.cohort.push(index);
-        }
-        if self.cohort.is_empty() {
-            // Env-event-only timestamp: state advanced, nobody decides, no
-            // feedback, no telemetry record.
-            self.slot = t + 1;
-            return Some(t);
-        }
-        self.cohort_runs.clear();
-        for &index in &self.cohort {
             match self.cohort_runs.last_mut() {
                 Some((_, end)) if *end == index => *end += 1,
                 _ => self.cohort_runs.push((index, index + 1)),
             }
         }
-        let cohort_start = Instant::now();
-        let record_latency = self.config.wake_latency;
-
-        // Phase 2: cohort choose (parallel). The full-length joint-choice
-        // buffer is cleared first so non-cohort sessions read as absent —
-        // the same shape feedback already handles for inactive sessions.
-        if self.env_choices.len() != count {
-            self.env_choices.resize(count, None);
-        }
-        self.env_choices.fill(None);
-        let cohort_shard_count;
-        {
-            let env_view: &dyn Environment = env;
-            let runs = &self.cohort_runs;
-            let sessions = carve_cohort(&mut self.sessions, runs, shard_size);
-            cohort_shard_count = sessions.len();
-            if self.latency_shards.len() < cohort_shard_count {
-                self.latency_shards.resize_with(cohort_shard_count, || {
-                    Histogram::new(LATENCY_MIN_EXP, LATENCY_BUCKETS)
-                });
-            }
-            let work: Vec<_> = sessions
-                .into_iter()
-                .zip(carve_cohort(&mut self.env_choices, runs, shard_size))
-                .zip(carve_cohort(&mut self.last, runs, shard_size))
-                .zip(self.latency_shards.iter_mut())
-                .map(
-                    |((((offset, sessions), (_, choices)), (_, last)), histogram)| {
-                        histogram.clear();
-                        ((offset, sessions, choices, last), histogram)
-                    },
-                )
-                .collect();
-            Self::in_pool(&self.pool, || {
-                work.into_par_iter().for_each(|(shard, histogram)| {
-                    let latency = record_latency.then_some((histogram, cohort_start));
-                    choose_shard(env_view, t, shard, latency);
-                });
-            });
-        }
-        // Merge per-shard latency in shard order (host timing — outside all
-        // determinism contracts, so the merge order only matters for
-        // reproducible float sums within one process).
-        let latency = if record_latency {
-            self.latency_total.clear();
-            for histogram in &self.latency_shards[..cohort_shard_count] {
-                self.latency_total.merge(histogram);
-            }
-            LatencyStats::from_histogram(&self.latency_total)
-        } else {
-            None
-        };
-        self.last_latency = latency;
-        let active = self.env_choices.iter().flatten().count() as u64;
-        let choose_s = cohort_start.elapsed().as_secs_f64();
-        let phase_start = Instant::now();
-
-        // Phase 3: joint feedback over the full-length buffers, exactly as
-        // the slot-synchronous path (partitioned fan-out, structural guard).
-        if self.env_feedback.len() != count {
-            self.env_feedback.resize(count, None);
-        }
-        if partitioned {
-            let executor = PoolExecutor { pool: &self.pool };
-            env.feedback_partitioned(t, &self.env_choices, &mut self.env_feedback, &executor);
-        } else {
-            env.feedback(t, &self.env_choices, &mut self.env_feedback);
-        }
-        for (choice, feedback) in self.env_choices.iter().zip(self.env_feedback.iter_mut()) {
-            if choice.is_none() {
-                *feedback = None;
-            }
-        }
-        let feedback_s = phase_start.elapsed().as_secs_f64();
-        let phase_start = Instant::now();
-
-        // Phase 4: cohort observe (parallel), then the end-of-slot hook.
-        let wants_tops = env.wants_top_choices();
-        let shares_feedback = env.shares_feedback();
-        if self.env_tops.len() != count {
-            self.env_tops.resize(count, None);
-        }
-        if wants_tops {
-            // Stale tops from earlier cohorts must not leak into end_slot.
-            self.env_tops.fill(None);
-        }
-        self.ensure_scratch(cohort_shard_count);
-        {
-            let env_view: &dyn Environment = env;
-            let feedback = &self.env_feedback;
-            let runs = &self.cohort_runs;
-            let work: Vec<ObserveShard<'_>> = carve_cohort(&mut self.sessions, runs, shard_size)
-                .into_iter()
-                .zip(carve_cohort(&mut self.env_tops, runs, shard_size))
-                .zip(self.scratch.iter_mut())
-                .map(|(((offset, sessions), (_, tops)), scratch)| (offset, sessions, tops, scratch))
-                .collect();
-            Self::in_pool(&self.pool, || {
-                work.into_par_iter().for_each(|shard| {
-                    observe_shard(env_view, feedback, wants_tops, shares_feedback, shard);
-                });
-            });
-        }
-        let tops: &[Option<(NetworkId, f64)>] = if wants_tops { &self.env_tops } else { &[] };
-        env.end_slot(t, &self.env_choices, tops);
-        let observe_s = phase_start.elapsed().as_secs_f64();
-
-        let timing = SlotTiming {
-            begin_slot_s,
-            choose_s,
-            feedback_s,
-            observe_s,
-        };
-        self.last_timing = Some(timing);
-        if let Some(sink) = sink {
-            sink.record(&TelemetryRecord {
-                slot: t,
-                active,
-                metrics: env.telemetry().cloned().unwrap_or_default(),
-                timing,
-                latency,
-                sampler: Some(self.sampler_counters()),
-            });
-        }
-
+        self.step_cohort(env, t, sink);
         // Reschedule the cohort on each session's own cadence; forward
         // progress is enforced even against a buggy `next_wake`.
-        for &index in &self.cohort {
-            let next = env.next_wake(index, t).max(t + 1);
-            self.wakes.push(Reverse((next, index)));
+        for &(start, end) in &self.cohort_runs {
+            for index in start..end {
+                let next = env.next_wake(index, t).max(t + 1);
+                self.wakes.push(Reverse((next, index)));
+            }
         }
-        self.decisions += active;
-        self.slot = t + 1;
         Some(t)
     }
 
@@ -1621,20 +1507,23 @@ impl FleetEngine {
         }
     }
 
-    /// Wake-to-decision latency percentiles of the most recent event-driven
-    /// cohort ([`step_events`](Self::step_events)), or `None` before the
-    /// first cohort, when the last cohort made no decision, or when
-    /// [`FleetConfig::wake_latency`] is off. Host timing only — excluded
-    /// from the determinism contract and from snapshots.
+    /// Wake-to-decision latency percentiles of the most recent cohort — a
+    /// [`step_env`](Self::step_env) slot or a
+    /// [`step_events`](Self::step_events) wake cohort — or `None` before the
+    /// first cohort or when the last cohort made no decision. Each decision
+    /// counts once (`count` equals the cohort's decisions), stamped with its
+    /// choose shard's completion time since cohort start. Host timing only —
+    /// excluded from the determinism contract and from snapshots.
     #[must_use]
     pub fn last_wake_latency(&self) -> Option<LatencyStats> {
         self.last_latency
     }
 
-    /// Wall-clock phase breakdown of the most recent
-    /// [`step_env`](Self::step_env) slot, or `None` before the first
-    /// environment-driven step. Host timing only — excluded from the
-    /// determinism contract and from snapshots.
+    /// Wall-clock phase breakdown of the most recent cohort — a
+    /// [`step_env`](Self::step_env) slot or a
+    /// [`step_events`](Self::step_events) wake cohort — or `None` before the
+    /// first one. Env-event-only timestamps leave it unchanged. Host timing
+    /// only — excluded from the determinism contract and from snapshots.
     #[must_use]
     pub fn last_slot_timing(&self) -> Option<SlotTiming> {
         self.last_timing
@@ -1823,16 +1712,13 @@ impl FleetEngine {
     ) -> Result<Self, SnapshotError> {
         // Validate everything that can fail *before* mutating the live
         // environment — a rejected snapshot must leave `env` untouched.
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(snapshot.version));
-        }
-        check_wake_queue(&snapshot)?;
+        check_snapshot(&snapshot)?;
         let state = snapshot.environment.as_deref().ok_or_else(|| {
             SnapshotError::Environment("snapshot carries no environment state".to_string())
         })?;
         env.restore(state)
             .map_err(|error| SnapshotError::Environment(error.to_string()))?;
-        Self::from_snapshot(snapshot)
+        Ok(Self::restore_checked(snapshot))
     }
 
     /// Restores a fleet from a snapshot. The restored fleet continues
@@ -1844,13 +1730,16 @@ impl FleetEngine {
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
     /// incompatible engine version, and [`SnapshotError::Malformed`] when
-    /// the wake queue names a session twice or a session the snapshot does
-    /// not hold.
+    /// session ids are not `0..n` in order with `next_id == n`, a policy
+    /// state breaks its invariants ([`PolicyState::validate`]), or the wake
+    /// queue names a session twice or a session the snapshot does not hold.
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(snapshot.version));
-        }
-        check_wake_queue(&snapshot)?;
+        check_snapshot(&snapshot)?;
+        Ok(Self::restore_checked(snapshot))
+    }
+
+    /// Rebuilds a fleet from a snapshot that passed [`check_snapshot`].
+    fn restore_checked(snapshot: FleetSnapshot) -> Self {
         let mut engine = FleetEngine::new(snapshot.config);
         engine.slot = snapshot.slot;
         engine.decisions = snapshot.decisions;
@@ -1873,7 +1762,7 @@ impl FleetEngine {
                 .collect();
             engine.wakes_primed = true;
         }
-        Ok(engine)
+        engine
     }
 
     /// Serializes a snapshot of the fleet to JSON text.
@@ -2097,7 +1986,7 @@ mod tests {
         assert!(FleetEngine::from_json("{not json").is_err());
         // Previous-release texts (version 2 lacks the `environment` field,
         // version 3 lacks the cooperative-feedback counters in its policy
-        // states, version 4 lacks the partitioned-feedback config switch,
+        // states, version 4 lacks the per-partition environment RNG streams,
         // version 5 lacks the per-policy sampler strategy, versions 6 and 7
         // lack the event-engine wake queue, version 8 lacks the alias-sampler
         // state) must be diagnosed as unsupported versions, not malformed.
@@ -2492,49 +2381,31 @@ mod tests {
     }
 
     #[test]
-    fn wake_latency_off_skips_instrumentation_without_touching_trajectories() {
-        let build = |wake_latency: bool| {
-            let mut config = FleetConfig::with_root_seed(42)
-                .with_shard_size(8)
-                .with_wake_latency(wake_latency);
-            config.threads = Some(2);
-            let mut factory = PolicyFactory::new(rates()).unwrap();
-            let mut fleet = FleetEngine::new(config);
-            fleet
-                .add_fleet(&mut factory, PolicyKind::SmartExp3, 20)
-                .unwrap();
-            fleet.add_fleet(&mut factory, PolicyKind::Exp3, 20).unwrap();
-            fleet
-        };
-        let mut on = build(true);
-        let mut off = build(false);
-        let mut on_env = CadenceEnv {
+    fn latency_counts_every_decision_on_both_paths() {
+        // Latency is stamped once per choose shard and weighted by the
+        // shard's decisions, so every record's count equals its decisions —
+        // full-fleet slots and partial wake cohorts alike.
+        let mut fleet = build_fleet(Some(2), 8, 40);
+        let mut sink = smartexp3_telemetry::RingSink::new(64);
+        fleet.run_env_with_sink(&mut CadenceEnv::uniform(40), 3, &mut sink);
+        assert_eq!(fleet.last_wake_latency().map(|l| l.count), Some(40));
+        let mut env = CadenceEnv {
             sessions: 40,
-            cadences: vec![1, 2, 4],
+            cadences: vec![1, 2, 4, 8],
             events: Vec::new(),
             begin_slots: Vec::new(),
         };
-        let mut off_env = CadenceEnv {
-            sessions: 40,
-            cadences: vec![1, 2, 4],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
-        for step in 0..12 {
-            assert_eq!(off.step_events(&mut off_env), on.step_events(&mut on_env));
-            assert_eq!(off.last_choices(), on.last_choices(), "step {step}");
+        fleet.run_until_with_sink(&mut env, 16, &mut sink);
+        let records: Vec<_> = sink.records().collect();
+        assert_eq!(records.len(), 16, "one record per slot with a due cohort");
+        assert!(records[3..].iter().any(|record| record.active < 40));
+        for record in records {
+            let latency = record.latency.expect("every cohort decided");
+            assert_eq!(latency.count, record.active, "slot {}", record.slot);
         }
-        // Instrumentation is the only difference: the histogram never runs…
-        assert!(on.last_wake_latency().is_some());
-        assert!(off.last_wake_latency().is_none());
-        assert_eq!(off.metrics(), on.metrics());
-        // …and the knob lives outside every determinism contract, so the
-        // snapshots agree byte-for-byte once it is normalised away.
-        let mut off_snapshot = off.snapshot().unwrap();
-        off_snapshot.config.wake_latency = true;
         assert_eq!(
-            serde_json::to_string(&off_snapshot).unwrap(),
-            serde_json::to_string(&on.snapshot().unwrap()).unwrap()
+            sink.records().map(|record| record.active).sum::<u64>(),
+            fleet.metrics().decisions
         );
     }
 

@@ -39,7 +39,6 @@ fn scenario_fingerprint(scenario: &Scenario) -> String {
         .expect("distributed fleets snapshot");
     snapshot.config.threads = None;
     snapshot.config.shard_size = 0;
-    snapshot.config.partitioned_feedback = true;
     snapshot.wake_queue = None;
     serde_json::to_string(&snapshot).expect("snapshots serialize")
 }
@@ -94,6 +93,9 @@ fn every_world_is_bit_identical_at_any_thread_count() {
         "cooperative",
         "dense_urban",
     ] {
+        // One worker takes the sequential feedback fallback, more workers
+        // the partitioned path, so the matrix also pins sequential ≡
+        // partitioned.
         let mut reference = build(1, world);
         assert!(
             reference.environment.feedback_partitions().is_some(),
@@ -110,21 +112,6 @@ fn every_world_is_bit_identical_at_any_thread_count() {
                 "{world} diverged at {threads} threads"
             );
         }
-        // The sequential feedback fallback (partitioning disabled) must
-        // produce the same trajectory decision-for-decision.
-        let mut sequential = build_config(
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_partitioned_feedback(false),
-            world,
-        );
-        sequential.run(40);
-        assert_eq!(
-            scenario_fingerprint(&sequential),
-            expected,
-            "{world} diverged with partitioned feedback disabled"
-        );
     }
 }
 
@@ -134,7 +121,8 @@ fn uniform_cadence_event_stepping_is_bit_identical_to_sync_on_every_world() {
     // the wake protocol, so every session runs the default uniform cadence 1
     // and `step_events` must reproduce `step_env` bit-for-bit — same
     // choices, same RNG streams, same environment state — at 1/2/8 threads,
-    // with partitioned feedback on or off.
+    // so on the sequential feedback fallback (1 thread) and the partitioned
+    // path alike.
     for world in [
         "equal_share",
         "dynamic_bandwidth",
@@ -157,10 +145,6 @@ fn uniform_cadence_event_stepping_is_bit_identical_to_sync_on_every_world() {
             FleetConfig::with_root_seed(42)
                 .with_threads(8)
                 .with_shard_size(16),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_partitioned_feedback(false),
         ];
         for (index, config) in event_configs.into_iter().enumerate() {
             let mut scenario = build_config(config, world);
@@ -216,10 +200,6 @@ fn duty_cycle_trajectories_are_identical_at_any_thread_count() {
         FleetConfig::with_root_seed(42)
             .with_threads(8)
             .with_shard_size(16),
-        FleetConfig::with_root_seed(42)
-            .with_threads(2)
-            .with_shard_size(16)
-            .with_partitioned_feedback(false),
     ] {
         let mut scenario = build_duty_cycle(config);
         scenario.fleet.run_until(scenario.environment.as_mut(), 40);
@@ -286,8 +266,9 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
     // The tentpole determinism anchor: overlay patches, dirty-mass rebuild
     // triggers and the sampler counters are all structural (driven by the
     // per-session update stream), so alias runs must be bit-identical at any
-    // thread count, with partitioned feedback on or off — on the sync path
-    // and the event-driven path alike.
+    // thread count — the 1-thread reference takes the sequential feedback
+    // fallback, the others the partitioned path — on the sync path and the
+    // event-driven path alike.
     for world in ["dense_urban", "duty_cycle", "dense_duty_cycle"] {
         let mut reference = build_alias_world(
             FleetConfig::with_root_seed(42)
@@ -307,10 +288,6 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
             FleetConfig::with_root_seed(42)
                 .with_threads(8)
                 .with_shard_size(16),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_partitioned_feedback(false),
         ]
         .into_iter()
         .enumerate()
@@ -566,12 +543,8 @@ fn degenerate_partitions_match_the_sequential_fallback_decision_for_decision() {
                 .with_threads(8)
                 .with_shard_size(4),
         );
-        let mut sequential = degenerate_world(
-            layout,
-            FleetConfig::with_root_seed(77)
-                .with_threads(1)
-                .with_partitioned_feedback(false),
-        );
+        let mut sequential =
+            degenerate_world(layout, FleetConfig::with_root_seed(77).with_threads(1));
         partitioned.run(30);
         sequential.run(30);
         assert_eq!(

@@ -4,21 +4,27 @@
 //!   worlds. Checkpoints written by one build must load in the next, and
 //!   perf-only changes to the JSON layer must not move a single byte. Each
 //!   case pins the text's length and its 64-bit FNV-1a hash, and checks that
-//!   text → `FleetSnapshot` → text gives back the same text.
-//!   Version-9 texts that still carry the removed `fleet_lanes` config key
-//!   load onto the same trajectory.
+//!   text → `FleetSnapshot` → text gives back the same text. Splicing the
+//!   removed `partitioned_feedback` and `wake_latency` config keys back in
+//!   reproduces the pins of the build that still wrote them, and version-9
+//!   texts carrying any removed config key load onto the same trajectory.
 //! * Corrupt snapshot text never panics the reader: every truncation and
 //!   2 000 seeded single-byte mutations of a small snapshot return `Ok` or
 //!   `Err`, and nesting far deeper than any snapshot is a typed error rather
 //!   than a stack overflow.
 //! * A wake queue that names a session twice or a session the snapshot does
-//!   not hold is a typed error at restore, before the environment is touched.
+//!   not hold, session ids other than `0..n` with `next_id == n`, and a
+//!   weight table whose index does not list its arms are typed errors at
+//!   restore, before the environment is touched.
+//! * An ignored soak (`cargo test --release -p smartexp3-env --test
+//!   snapshot_json -- --ignored`) restores thousands of digit-flipped and
+//!   truncated snapshots and steps every accepted one: zero panics.
 
 use smartexp3_core::{PolicyKind, SamplerStrategy};
 use smartexp3_engine::{FleetConfig, FleetEngine, FleetSnapshot, SnapshotError, WakeEntry};
 use smartexp3_env::{
-    area_mobility, cooperative, dense_duty_cycle, DenseUrbanConfig, DutyCycleConfig, GossipConfig,
-    Scenario,
+    area_mobility, cooperative, dense_duty_cycle, equal_share, DenseUrbanConfig, DutyCycleConfig,
+    GossipConfig, Scenario,
 };
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -92,16 +98,24 @@ fn snapshot_text(scenario: &Scenario) -> String {
 fn snapshot_bytes_are_pinned_and_round_trip() {
     type Case = (&'static str, fn() -> Scenario, usize, u64);
     let cases: [Case; 3] = [
-        ("area_mobility", mobility, 138_650, 0xb085_3391_17c9_b079),
+        ("area_mobility", mobility, 138_602, 0x4c3a_be25_0b01_d05f),
         (
             "dense_duty_cycle",
             dense_duty,
-            31_805,
-            0x3597_9317_4b27_7f74,
+            31_757,
+            0x949c_1fa6_1698_26f6,
         ),
-        ("cooperative", gossip, 96_626, 0x77fe_9c85_b716_0c4b),
+        ("cooperative", gossip, 96_578, 0x6adf_7087_4c78_9ca5),
     ];
-    for (world, build, len, hash) in cases {
+    // The pins of the build that still wrote the two perf-only config keys
+    // the format has since dropped: splicing them back in must reproduce
+    // these, which proves those keys are the only bytes that changed.
+    let with_removed_keys: [(usize, u64); 3] = [
+        (138_650, 0xb085_3391_17c9_b079),
+        (31_805, 0x3597_9317_4b27_7f74),
+        (96_626, 0x77fe_9c85_b716_0c4b),
+    ];
+    for ((world, build, len, hash), old) in cases.into_iter().zip(with_removed_keys) {
         let scenario = build();
         let text = snapshot_text(&scenario);
         let snapshot: FleetSnapshot = serde_json::from_str(&text).expect("snapshot parses");
@@ -125,14 +139,32 @@ fn snapshot_bytes_are_pinned_and_round_trip() {
             (len, hash),
             "{world}: len, FNV-1a of to_json"
         );
+        let spliced = splice_config_keys(
+            &text,
+            ",\"partitioned_feedback\":true,\"wake_latency\":true",
+        );
+        assert_eq!(
+            (spliced.len(), fnv1a(spliced.as_bytes())),
+            old,
+            "{world}: len, FNV-1a with the removed keys spliced back"
+        );
     }
 }
 
+/// Inserts `keys` (a leading-comma JSON member list) at the end of the
+/// snapshot's `config` object.
+fn splice_config_keys(text: &str, keys: &str) -> String {
+    let config = text.find("\"config\":{").expect("snapshots carry a config");
+    let end = config + text[config..].find('}').expect("the config object closes");
+    format!("{}{keys}{}", &text[..end], &text[end..])
+}
+
 #[test]
-fn texts_with_the_removed_fleet_lanes_key_still_load() {
-    // Version-9 texts written before the storage switch was removed carry
-    // `,"fleet_lanes":<bool>` after `partitioned_feedback`. The reader skips
-    // unknown keys, so either value restores onto the same trajectory.
+fn texts_with_removed_config_keys_still_load() {
+    // Version-9 texts written before the perf-only switches were removed
+    // carry `partitioned_feedback`, `fleet_lanes` and `wake_latency` in
+    // their config. The reader skips unknown keys, so any values restore
+    // onto the same trajectory.
     let mut original = mobility();
     let text = snapshot_text(&original);
     let state = original
@@ -143,9 +175,11 @@ fn texts_with_the_removed_fleet_lanes_key_still_load() {
     let expected = original.fleet.to_json().unwrap();
     let expected_env = original.environment.state();
     for value in ["true", "false"] {
-        let key = "\"partitioned_feedback\":true";
-        let spliced = text.replacen(key, &format!("{key},\"fleet_lanes\":{value}"), 1);
-        assert_eq!(spliced.len(), text.len() + 15 + value.len());
+        let keys = format!(
+            ",\"partitioned_feedback\":{value},\"fleet_lanes\":{value},\"wake_latency\":{value}"
+        );
+        let spliced = splice_config_keys(&text, &keys);
+        assert_eq!(spliced.len(), text.len() + keys.len());
         let mut resumed = mobility_world();
         resumed.fleet = FleetEngine::from_json(&spliced).unwrap();
         resumed.environment.restore(&state).unwrap();
@@ -296,4 +330,172 @@ fn deep_nesting_is_a_typed_error() {
         .environment
         .restore(&state)
         .expect("well-formed state still restores");
+}
+
+/// Points the first weight-table index entry of `text` at position K, one
+/// past the table's last arm.
+fn corrupt_first_index_entry(text: &str) -> String {
+    let list = text.find("\"index\":[[").expect("a weight table") + "\"index\":[".len();
+    let end = list + text[list..].find("]]").expect("the index closes") + 1;
+    let entries: Vec<&str> = text[list + 1..end - 1].split("],[").collect();
+    let (arm, _) = entries[0].split_once(',').expect("(arm, position) pairs");
+    let first = format!("{arm},{}", entries.len());
+    let corrupt = [first.as_str()]
+        .into_iter()
+        .chain(entries[1..].iter().copied())
+        .collect::<Vec<_>>()
+        .join("],[");
+    format!("{}[{corrupt}]{}", &text[..list], &text[end..])
+}
+
+/// Asserts that `restore` refuses with `Malformed` naming `needle`.
+fn assert_malformed<T>(restored: Result<T, SnapshotError>, needle: &str, what: &str) {
+    match restored {
+        Err(SnapshotError::Malformed(message)) => {
+            assert!(message.contains(needle), "{what}: {message}");
+        }
+        Err(other) => panic!("{what}: expected Malformed, got {other:?}"),
+        Ok(_) => panic!("{what}: expected Malformed, got Ok"),
+    }
+}
+
+#[test]
+fn corrupt_weight_table_index_fails_typed_at_restore() {
+    // An index entry naming position K would reach `multiplicative_update`
+    // as an out-of-bounds position the first time its arm is updated.
+    let scenario = mobility();
+    let text = snapshot_text(&scenario);
+    let corrupt = corrupt_first_index_entry(&text);
+    assert_eq!(corrupt.len(), text.len(), "a one-digit edit");
+    assert_ne!(corrupt, text);
+    assert_malformed(FleetEngine::from_json(&corrupt), "index", "from_json");
+    let snapshot: FleetSnapshot = serde_json::from_str(&corrupt).expect("still valid JSON");
+    let mut fresh = mobility_world();
+    let before = fresh.environment.state();
+    assert_malformed(
+        FleetEngine::from_snapshot_env(snapshot, fresh.environment.as_mut()),
+        "session 0: weight table index",
+        "from_snapshot_env",
+    );
+    assert_eq!(fresh.environment.state(), before, "env touched");
+}
+
+#[test]
+fn session_ids_must_be_dense_and_match_next_id() {
+    // A short `next_id` would hand the next `add_session` an id — and RNG
+    // stream — an existing session already owns; a duplicated or shuffled
+    // id breaks the id == index invariant wake entries rely on.
+    let scenario = mobility();
+    let snapshot = scenario
+        .fleet
+        .snapshot_env(scenario.environment.as_ref())
+        .unwrap();
+    assert_eq!(snapshot.next_id, snapshot.sessions.len() as u64);
+    let mut short_next_id = snapshot.clone();
+    short_next_id.next_id -= 1;
+    let mut duplicate_id = snapshot.clone();
+    duplicate_id.sessions[1].id = 0;
+    for (what, corrupt, needle) in [
+        ("short next_id", short_next_id, "next session id"),
+        ("duplicate id", duplicate_id, "session 1 carries id 0"),
+    ] {
+        let text = corrupt.to_json().unwrap();
+        assert_malformed(FleetEngine::from_snapshot(corrupt.clone()), needle, what);
+        assert_malformed(FleetEngine::from_json(&text), needle, what);
+        let mut fresh = mobility_world();
+        let before = fresh.environment.state();
+        assert_malformed(
+            FleetEngine::from_snapshot_env(corrupt, fresh.environment.as_mut()),
+            needle,
+            what,
+        );
+        assert_eq!(fresh.environment.state(), before, "{what}: env touched");
+    }
+}
+
+/// What one corrupted text did in the soak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// `from_str::<FleetSnapshot>` refused the text.
+    Unparsed,
+    /// `from_snapshot_env` returned a typed error.
+    Refused,
+    /// Restored, and the next slots stepped without a panic.
+    Stepped,
+}
+
+#[test]
+#[ignore = "soak: run with `cargo test --release -p smartexp3-env --test snapshot_json -- --ignored`"]
+fn corrupt_snapshots_never_panic_after_restore() {
+    // equal_share with 200 Smart EXP3 sessions after 10 slots; each round
+    // flips one digit (7 in 8 rounds) or truncates the text, restores into
+    // a freshly built world and steps 5 more slots. The budget is zero
+    // panics, whatever the mutation hits: policy state, RNG state, wake
+    // bookkeeping or the embedded environment state.
+    const ROUNDS: usize = 3_000;
+    let world = || equal_share(200, PolicyKind::SmartExp3, config()).unwrap();
+    let mut original = world();
+    original.run(10);
+    let text = snapshot_text(&original);
+    let digits: Vec<usize> = text
+        .bytes()
+        .enumerate()
+        .filter(|(_, b)| b.is_ascii_digit())
+        .map(|(at, _)| at)
+        .collect();
+    let mut state = 0x50a_u64;
+    let mut outcomes = Vec::with_capacity(ROUNDS);
+    let mut panics = Vec::new();
+    for round in 0..ROUNDS {
+        let pick = splitmix(&mut state);
+        let mutated = if pick.is_multiple_of(8) {
+            text[..(pick >> 3) as usize % text.len()].to_string()
+        } else {
+            let at = digits[(pick >> 3) as usize % digits.len()];
+            let old = text.as_bytes()[at] - b'0';
+            let new = (old + 1 + (pick >> 40) as u8 % 9) % 10;
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = b'0' + new;
+            String::from_utf8(bytes).expect("ASCII stays UTF-8")
+        };
+        let run = std::panic::catch_unwind(|| {
+            let Ok(snapshot) = serde_json::from_str::<FleetSnapshot>(&mutated) else {
+                return Outcome::Unparsed;
+            };
+            let mut fresh = world();
+            match FleetEngine::from_snapshot_env(snapshot, fresh.environment.as_mut()) {
+                Ok(fleet) => {
+                    fresh.fleet = fleet;
+                    fresh.run(5);
+                    Outcome::Stepped
+                }
+                Err(_) => Outcome::Refused,
+            }
+        });
+        match run {
+            Ok(outcome) => outcomes.push(outcome),
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                panics.push(format!("round {round}: {message}"));
+            }
+        }
+    }
+    let count = |outcome| outcomes.iter().filter(|&&o| o == outcome).count();
+    eprintln!(
+        "{ROUNDS} mutations: {} unparsed, {} refused, {} stepped, {} panics",
+        count(Outcome::Unparsed),
+        count(Outcome::Refused),
+        count(Outcome::Stepped),
+        panics.len()
+    );
+    assert!(panics.is_empty(), "{} panics: {panics:#?}", panics.len());
+    // Every outcome occurs, so the mutations reach the restore checks and
+    // the stepping behind them.
+    for outcome in [Outcome::Unparsed, Outcome::Refused, Outcome::Stepped] {
+        assert!(count(outcome) > 0, "no {outcome:?} round");
+    }
 }

@@ -1,15 +1,16 @@
 //! Streaming-telemetry integration tests:
 //!
-//! * the per-slot metric series is **value-identical at 1/2/8 threads** and
-//!   with the partitioned feedback phase on or off, for every world in the
-//!   catalog — the partition accumulators merge in canonical partition
-//!   order, so the f64 sums never depend on scheduling;
+//! * the per-slot metric series is **value-identical at 1/2/8 threads**
+//!   for every world in the catalog, so on the sequential feedback
+//!   fallback one worker takes and on the partitioned path alike — the
+//!   partition accumulators merge in canonical partition order, so the f64
+//!   sums never depend on scheduling;
 //! * the same holds for a trace world split into many small phase groups,
 //!   where the merge order actually has something to get wrong;
 //! * telemetry is **pure observation** — enabling it changes neither the
 //!   fleet trajectory nor the environment state;
-//! * every record's envelope (slot, active population, phase timing) is
-//!   well-formed.
+//! * every record's envelope (slot, active population, phase timing,
+//!   latency count) is well-formed.
 
 use smartexp3_core::{Environment, PolicyFactory, PolicyKind};
 use smartexp3_engine::{FleetConfig, FleetEngine};
@@ -83,12 +84,6 @@ fn metric_series_is_identical_across_threads_and_partitioning() {
                 "{world} telemetry diverged at {threads} threads"
             );
         }
-        let mut sequential = build_config(config(2).with_partitioned_feedback(false), world);
-        assert_eq!(
-            metric_series(&mut sequential, SLOTS),
-            expected,
-            "{world} telemetry diverged with partitioned feedback disabled"
-        );
     }
 }
 
@@ -137,7 +132,6 @@ fn scenario_fingerprint(scenario: &Scenario) -> String {
         .expect("distributed fleets snapshot");
     snapshot.config.threads = None;
     snapshot.config.shard_size = 0;
-    snapshot.config.partitioned_feedback = true;
     serde_json::to_string(&snapshot).expect("snapshots serialize")
 }
 
@@ -173,6 +167,8 @@ fn record_envelopes_are_well_formed() {
         assert_eq!(record.slot, index, "slots must be contiguous");
         assert_eq!(record.active as usize, scenario.sessions());
         assert_eq!(record.metrics.sessions, record.active);
+        // Slot-synchronous records carry latency too: one count per decision.
+        assert_eq!(record.latency.map(|l| l.count), Some(record.active));
         let timing = record.timing;
         for phase in [
             timing.begin_slot_s,

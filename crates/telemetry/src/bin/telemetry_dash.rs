@@ -4,8 +4,8 @@
 //! wrote (e.g. from `repro coop --telemetry PATH`), validates them with the
 //! same checks as [`validate_jsonl`](smartexp3_telemetry::validate_jsonl),
 //! and renders a per-slot series — active sessions, mean gain, switch rate,
-//! Jain fairness, slot wall time, and, for event-driven runs, the
-//! wake-to-decision latency percentiles — followed by an aggregate summary.
+//! Jain fairness, slot wall time and the wake-to-decision latency
+//! percentiles — followed by an aggregate summary.
 //! Runs on the alias sampler additionally report the cumulative
 //! alias-table rebuild and overlay-hit counters, so a rebuild storm shows
 //! up as a steep `rebuilds` slope in the summary.
@@ -161,14 +161,14 @@ fn main() {
         _ => {}
     }
     if with_latency.is_empty() {
-        println!("no wake-to-decision latency (slot-synchronous run)");
+        println!("no wake-to-decision latency recorded");
     } else {
         // Per-record percentiles can't be merged exactly; report the worst
         // observed of each, which is the honest conservative bound.
         let worst =
             |f: fn(&LatencyStats) -> f64| with_latency.iter().map(|l| f(l)).fold(0.0, f64::max);
         println!(
-            "wake-to-decision latency over {} event-driven records: worst p50 {:.1} µs, \
+            "wake-to-decision latency over {} records: worst p50 {:.1} µs, \
              worst p95 {:.1} µs, worst p99 {:.1} µs",
             with_latency.len(),
             worst(|l| l.p50_s) * 1e6,

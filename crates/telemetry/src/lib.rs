@@ -83,10 +83,17 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `value` as `n` observations at once: the counts end up as
+    /// after `n` [`record`](Self::record) calls, and the sum gains
+    /// `value · n` (equal to `n` repeated additions up to f64 rounding).
+    pub fn record_n(&mut self, value: f64, n: u64) {
         let idx = self.bucket_index(value);
-        self.counts[idx] += 1;
+        self.counts[idx] += n;
         if !value.is_nan() {
-            self.sum += value;
+            self.sum += value * n as f64;
         }
     }
 
@@ -169,9 +176,11 @@ impl Histogram {
 /// distribution, read off a log-bucket [`Histogram`] (so percentiles have
 /// power-of-two resolution).
 ///
-/// Latency is measured with `Instant` on the host, like [`SlotTiming`]: it
-/// is *not* part of any determinism contract, and two bit-identical runs
-/// report different latencies.
+/// The engine takes one `Instant` stamp per choose shard (cohort start to
+/// shard completion) and attributes it to each decision of that shard via
+/// [`Histogram::record_n`], so `count` equals the decisions taken. Like
+/// [`SlotTiming`] this is host timing: it is *not* part of any determinism
+/// contract, and two bit-identical runs report different latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Decisions measured.
@@ -427,9 +436,8 @@ pub struct TelemetryRecord {
     /// Wall-clock phase breakdown (excluded from determinism contracts).
     pub timing: SlotTiming,
     /// Wake-to-decision latency percentiles for the decisions of this
-    /// record, measured by the event-driven engine path (`None` on the
-    /// slot-synchronous path). Host wall-clock, excluded from determinism
-    /// contracts like [`timing`](Self::timing).
+    /// record (`None` when no session decided). Host wall-clock, excluded
+    /// from determinism contracts like [`timing`](Self::timing).
     pub latency: Option<LatencyStats>,
     /// Cumulative fleet-wide sampler counters as of this record (`None` for
     /// producers that predate the alias sampler). Deterministic, unlike
@@ -910,6 +918,32 @@ mod tests {
         h.record(-1.0);
         assert_eq!(h.quantile(0.5), Some(0.0));
         assert_eq!(LatencyStats::from_histogram(&h).map(|l| l.p99_s), Some(0.0));
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        // Dyadic values keep every partial sum exact, so the weighted sum
+        // must equal repeated addition bit for bit; NaN, zero and negative
+        // values exercise the underflow bucket and the NaN-free sum.
+        for value in [0.375, 2f64.powi(-20), 3.0, 0.0, -2.0, f64::NAN] {
+            for n in [0u64, 1, 7, 1024] {
+                let mut weighted = Histogram::new(-30, 34);
+                weighted.record(0.25);
+                weighted.record_n(value, n);
+                let mut repeated = Histogram::new(-30, 34);
+                repeated.record(0.25);
+                for _ in 0..n {
+                    repeated.record(value);
+                }
+                assert_eq!(weighted.counts(), repeated.counts(), "{value} x{n}");
+                assert_eq!(weighted.count(), n + 1, "{value} x{n}");
+                assert_eq!(
+                    weighted.sum().to_bits(),
+                    repeated.sum().to_bits(),
+                    "{value} x{n}"
+                );
+            }
+        }
     }
 
     #[test]
